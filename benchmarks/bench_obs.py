@@ -35,7 +35,7 @@ import random
 import time
 from typing import Any
 
-from repro.counters.registry import default_registry
+from repro.semantics import build_algorithm
 from repro.network.batch import (
     BatchTrial,
     build_batch_kernel,
@@ -54,7 +54,7 @@ def build_null_overhead_workload(runs: int = 120) -> dict[str, Any]:
     ``figure1-style-randomized-n16`` benchmark case, i.e. the hot path the
     <2% overhead budget is defined against.
     """
-    algorithm = default_registry().build(
+    algorithm = build_algorithm(
         "randomized-follow-majority", n=16, f=5, c=2
     )
     kernel = build_batch_kernel(algorithm)

@@ -9,14 +9,15 @@ message counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Sequence
 
-from repro.network.stabilization import stabilization_round
+from repro.network.stabilization import stabilization_from_values
 from repro.network.trace import ExecutionTrace
 
 __all__ = [
     "TrialMetrics",
     "trial_metrics",
+    "trial_metrics_from_values",
     "agreement_fraction",
     "post_agreement_failure_rate",
     "post_agreement_failure_rate_from_values",
@@ -54,29 +55,64 @@ class TrialMetrics:
     faulty: tuple[int, ...]
 
 
+def _disagreed(value: int | None) -> bool:
+    """Disagreement in either agreed-value representation.
+
+    ``None`` in the trace representation, any negative integer in the batch
+    engine's array representation.
+    """
+    return value is None or value < 0
+
+
+def _agreement_fraction(values: Sequence[int | None]) -> float:
+    if not values:
+        return 0.0
+    return sum(1 for value in values if not _disagreed(value)) / len(values)
+
+
 def agreement_fraction(trace: ExecutionTrace) -> float:
     """Fraction of recorded rounds in which all correct outputs agreed."""
-    if trace.num_rounds == 0:
-        return 0.0
-    agreed = sum(1 for value in trace.agreed_values() if value is not None)
-    return agreed / trace.num_rounds
+    return _agreement_fraction(trace.agreed_values())
 
 
 def trial_metrics(
     trace: ExecutionTrace, bound: int | None = None, min_tail: int = 2
 ) -> TrialMetrics:
     """Compute :class:`TrialMetrics` for one trace."""
-    result = stabilization_round(trace, min_tail=min_tail)
+    return trial_metrics_from_values(
+        trace.agreed_values(),
+        trace.c,
+        bound=bound,
+        min_tail=min_tail,
+        faulty=tuple(sorted(trace.faulty)),
+    )
+
+
+def trial_metrics_from_values(
+    values: Sequence[int | None],
+    c: int,
+    bound: int | None = None,
+    min_tail: int = 2,
+    faulty: tuple[int, ...] = (),
+) -> TrialMetrics:
+    """:class:`TrialMetrics` from a bare per-round agreed-value sequence.
+
+    The one home of the within-bound test and the agreement fraction: the
+    trace-based :func:`trial_metrics` and the campaign reducer
+    (:func:`repro.campaigns.results.reduce_run`, behind both engines) call
+    it.  Disagreement is ``None`` or any negative integer.
+    """
+    result = stabilization_from_values(values, c, min_tail)
     within: bool | None = None
     if bound is not None and result.stabilized and result.round is not None:
         within = result.round <= bound
     return TrialMetrics(
         stabilized=result.stabilized,
         stabilization_round=result.round,
-        rounds_simulated=trace.num_rounds,
+        rounds_simulated=len(values),
         within_bound=within,
-        agreement_fraction=agreement_fraction(trace),
-        faulty=tuple(sorted(trace.faulty)),
+        agreement_fraction=_agreement_fraction(values),
+        faulty=faulty,
     )
 
 
@@ -92,24 +128,22 @@ def post_agreement_failure_rate(trace: ExecutionTrace) -> float:
     return post_agreement_failure_rate_from_values(trace.agreed_values())
 
 
-def post_agreement_failure_rate_from_values(values) -> float:
+def post_agreement_failure_rate_from_values(
+    values: Sequence[int | None],
+) -> float:
     """The failure rate on a bare per-round agreed-value sequence.
 
     Disagreement is ``None`` (trace representation) or any negative integer
     (the batch engine's array representation); one implementation serves
     both the scalar and the vectorised reductions.
     """
-
-    def disagreed(value) -> bool:
-        return value is None or value < 0
-
     first = next(
-        (i for i, value in enumerate(values) if not disagreed(value)), None
+        (i for i, value in enumerate(values) if not _disagreed(value)), None
     )
     if first is None or first + 1 >= len(values):
         return 1.0
     tail = values[first + 1 :]
-    failures = sum(1 for value in tail if disagreed(value))
+    failures = sum(1 for value in tail if _disagreed(value))
     return failures / len(tail)
 
 

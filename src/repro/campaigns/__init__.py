@@ -24,7 +24,7 @@ subsystem:
   resume-by-skipping-completed-runs, and :func:`summarize_results`.
 * :mod:`repro.campaigns.runner` — :func:`run_campaign`, the orchestration
   loop: expand, skip completed, execute, persist as results stream in.
-* :mod:`repro.campaigns.cli` — the ``python -m repro.campaigns`` command with
+* :mod:`repro.campaigns.cli` — the ``python -m repro campaign`` command with
   ``define`` / ``run`` / ``resume`` / ``summarize`` subcommands.
 
 Quick start::

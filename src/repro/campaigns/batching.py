@@ -36,7 +36,7 @@ counters.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Any, Iterable
 
 from repro.campaigns.executor import (
     ExecutorStats,
@@ -46,7 +46,7 @@ from repro.campaigns.executor import (
     execute_run,
     resolve_observer,
 )
-from repro.campaigns.results import RunResult
+from repro.campaigns.results import RunResult, reduce_run
 from repro.campaigns.spec import AlgorithmSpec, RunSpec
 from repro.core.errors import ParameterError
 from repro.network.batch import (
@@ -59,7 +59,7 @@ from repro.network.batch import (
 from repro.obs.events import BatchGroupScheduled, FallbackTaken
 from repro.obs.observer import NULL_OBSERVER, Observer
 
-__all__ = ["BatchExecutorStats", "BatchExecutor", "group_runs", "reduce_summary"]
+__all__ = ["BatchExecutor", "group_runs", "reduce_summary"]
 
 
 def _group_label(spec: RunSpec, algorithm=None) -> str:
@@ -80,11 +80,6 @@ def _group_label(spec: RunSpec, algorithm=None) -> str:
 #: Engines the executor understands (``"scalar"`` is handled by
 #: :func:`repro.campaigns.executor.default_executor` and never reaches here).
 _ENGINES = ("auto", "batch")
-
-
-#: Backwards-compatible alias: the batched/fallback accounting now lives on
-#: the unified :class:`~repro.campaigns.executor.ExecutorStats` dataclass.
-BatchExecutorStats = ExecutorStats
 
 
 def group_runs(
@@ -160,7 +155,7 @@ class BatchExecutor:
         self.processes = processes
         self.batch_size = batch_size
         self.observer = observer
-        self.stats = BatchExecutorStats()
+        self.stats = ExecutorStats()
 
     # ------------------------------------------------------------------ #
     # Execution
@@ -172,7 +167,7 @@ class BatchExecutor:
         """Execute all specs and return their results in submission order."""
         spec_list = list(specs)
         obs = resolve_observer(self.observer)
-        self.stats = BatchExecutorStats(
+        self.stats = ExecutorStats(
             total=len(spec_list), metrics=obs.metrics if obs is not None else None
         )
         results: list[RunResult | None] = [None] * len(spec_list)
@@ -248,7 +243,7 @@ class BatchExecutor:
         ``(None, label, reason)`` when the group must take the scalar path —
         ``label`` names the group as completely as possible (including ``n``
         whenever the algorithm built) and the reason is recorded in
-        :attr:`BatchExecutorStats.fallback_reasons`.  In ``engine="batch"``
+        :attr:`ExecutorStats.fallback_reasons`.  In ``engine="batch"``
         mode, missing kernel coverage raises a
         :class:`~repro.core.errors.ParameterError` naming the full offending
         group (algorithm, strategy, ``n``/``f``) instead of silently falling
@@ -395,69 +390,34 @@ def reduce_summary(
 ) -> RunResult:
     """Reduce one batch summary to its campaign result.
 
-    Computes exactly what :func:`repro.campaigns.results.reduce_trace`
-    computes from a full trace — the empirical stabilisation suffix of
-    :func:`repro.network.stabilization.stabilization_round`, the agreement
-    fraction, the message counts and (for pulling trials) the Theorem 4
-    statistics — from the per-round agreed values alone.  Batch-vs-scalar
-    result identity for deterministic configurations is asserted in
-    ``tests/campaigns/test_batching.py``.
+    The batch engine's adapter onto
+    :func:`repro.campaigns.results.reduce_run`, the reducer
+    :func:`~repro.campaigns.results.reduce_trace` feeds too: the summary's
+    agreed values (disagreement = ``-1``) carry the stabilisation analysis,
+    and the pulling kernels' per-round constant plan size gives the
+    Theorem 4 statistics.  Batch-vs-scalar result identity for deterministic
+    configurations is asserted in ``tests/campaigns/test_batching.py``.
     """
-    from repro.analysis.metrics import post_agreement_failure_rate_from_values
-    from repro.network.stabilization import stabilization_from_values
-
-    agreed = summary.agreed
-    total = summary.rounds
-
-    # One shared implementation with the scalar path: the batch engine's
-    # agreed-value arrays (disagreement = -1) feed the same stabilisation
-    # suffix walk the trace-based reduction uses.
-    result = stabilization_from_values(agreed, algorithm.c, min_tail=spec.min_tail)
-
-    bound = algorithm.stabilization_bound()
-    within: bool | None = None
-    if bound is not None and result.stabilized and result.round is not None:
-        within = result.round <= bound
-
-    agreements = sum(1 for value in agreed if value >= 0)
-    agreement_fraction = agreements / total if total else 0.0
-
     correct = algorithm.n - len(summary.faulty)
-    max_pulls: int | None = None
-    mean_pulls: float | None = None
-    max_bits: int | None = None
-    failure_rate: float | None = None
+    pulls: dict[str, Any] = {}
     if spec.model == "pulling":
-        pulls = summary.pulls_per_round or 0
-        max_pulls = pulls
-        mean_pulls = float(pulls)
-        max_bits = pulls * summary.message_bits
-        messages_sent = total * pulls * correct
-        failure_rate = post_agreement_failure_rate_from_values(agreed)
+        per_round = summary.pulls_per_round or 0
+        pulls = dict(
+            max_pulls=per_round,
+            mean_pulls=float(per_round),
+            max_bits=per_round * summary.message_bits,
+        )
+        messages_sent = summary.rounds * per_round * correct
     else:
-        messages_sent = total * algorithm.n * correct
-
-    return RunResult(
-        run_id=spec.run_id,
-        algorithm=spec.algorithm_label(),
-        adversary=spec.adversary_label(),
-        n=algorithm.n,
-        f=algorithm.f,
-        c=algorithm.c,
+        messages_sent = summary.rounds * algorithm.n * correct
+    return reduce_run(
+        spec,
+        algorithm,
+        summary.agreed,
         faulty=summary.faulty,
-        sim_seed=spec.sim_seed,
-        rounds_simulated=total,
-        stabilized=result.stabilized,
-        stabilization_round=result.round,
-        within_bound=within,
-        agreement_fraction=agreement_fraction,
         stopped_early=summary.stopped_early,
-        messages_sent=messages_sent,
-        error=None,
         model=spec.model,
-        max_pulls=max_pulls,
-        mean_pulls=mean_pulls,
-        max_bits=max_bits,
-        post_agreement_failure_rate=failure_rate,
+        messages_sent=messages_sent,
         rng=summary.rng_note,
+        **pulls,
     )

@@ -1,38 +1,37 @@
 """Command-line interface for the campaign engine.
 
-The same commands are mounted under the unified top-level CLI as
-``python -m repro campaign <command>`` — the preferred spelling;
-``python -m repro.campaigns`` remains as a compatible alias.
+The commands are mounted under the unified top-level CLI as
+``python -m repro campaign <command>``.
 
-Usage (``python -m repro campaign <command>``)::
+Usage::
 
     # Write a campaign definition file
-    python -m repro.campaigns define --name demo \\
+    python -m repro campaign define --name demo \\
         --algorithm "naive-majority:n=6,c=3,claimed_resilience=1" \\
         --adversary crash --adversary random-state \\
         --runs 25 --max-rounds 200 --stop-after-agreement 6 \\
         --out demo.campaign.json
 
     # Execute it (resumable; re-invoking skips completed runs)
-    python -m repro.campaigns run demo.campaign.json --store demo.jsonl --jobs 4
+    python -m repro campaign run demo.campaign.json --store demo.jsonl --jobs 4
 
     # Explicit resume (same as run — shown separately for discoverability)
-    python -m repro.campaigns resume demo.campaign.json --store demo.jsonl
+    python -m repro campaign resume demo.campaign.json --store demo.jsonl
 
     # Stabilisation statistics from the store
-    python -m repro.campaigns summarize demo.jsonl
+    python -m repro campaign summarize demo.jsonl
 
     # Pulling-model grids (Theorem 4 / Corollary 4 message complexity)
-    python -m repro.campaigns define --name pulls --model pulling \\
+    python -m repro campaign define --name pulls --model pulling \\
         --algorithm "sampled-boosted:sample_size=4" \\
         --adversary phase-king-skew --num-faults 1 \\
         --runs 10 --max-rounds 120 --out pulls.campaign.json
 
 Algorithm arguments use ``name`` or ``name:key=value,key=value`` where the
-names come from :func:`repro.counters.registry.default_registry` and values
-are parsed as JSON scalars when possible (``levels=2`` is an int).  Pulling
-campaigns (``--model pulling``) take pulling-model algorithm names
-(``sampled-boosted``, ``pseudo-random-boosted``) and record per-run
+names come from the catalogue (:data:`repro.semantics.ALGORITHM_SEMANTICS`)
+and values are parsed as JSON scalars when possible (``levels=2`` is an
+int).  Pulling campaigns (``--model pulling``) take pulling-model algorithm
+names (``sampled-boosted``, ``pseudo-random-boosted``) and record per-run
 ``max_pulls`` / ``max_bits`` statistics in the result store.
 """
 
@@ -42,7 +41,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from typing import Any, Sequence
+from typing import Any
 
 from repro.campaigns.executor import default_executor
 from repro.campaigns.results import CampaignStore, RunResult, summarize_results
@@ -59,8 +58,6 @@ from repro.semantics import strategy_names
 from repro.obs.cli import add_observability_arguments, observation_from_args
 
 __all__ = [
-    "main",
-    "build_parser",
     "register_commands",
     "dispatch",
     "parse_algorithm",
@@ -181,7 +178,7 @@ def register_commands(subparsers) -> None:
         required=True,
         type=parse_algorithm,
         metavar="NAME[:k=v,...]",
-        help="registry algorithm with parameters (repeatable)",
+        help="catalogue algorithm with parameters (repeatable)",
     )
     define.add_argument(
         "--adversary",
@@ -311,17 +308,6 @@ def register_commands(subparsers) -> None:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The standalone ``python -m repro.campaigns`` argument parser."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.campaigns",
-        description="Define, run, resume and summarize simulation campaigns.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    register_commands(subparsers)
-    return parser
-
-
 def _command_define(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args)
     # Normalise 0 to None for "no early stopping".
@@ -398,7 +384,8 @@ def dispatch(args: argparse.Namespace) -> int:
 
     Expected failure modes (bad names, malformed files, missing paths)
     become one-line ``error:`` diagnostics with exit code 2 instead of
-    tracebacks.  Shared with the unified ``python -m repro`` CLI.
+    tracebacks.  The unified ``python -m repro`` CLI dispatches every command
+    through it.
     """
     try:
         return args.handler(args)
@@ -406,11 +393,3 @@ def dispatch(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``python -m repro.campaigns``."""
-    return dispatch(build_parser().parse_args(argv))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -22,11 +22,11 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.metrics import (
     TrialMetrics,
-    post_agreement_failure_rate,
+    post_agreement_failure_rate_from_values,
     pull_statistics,
-    trial_metrics,
+    trial_metrics_from_values,
 )
-from repro.network.stabilization import recovery_round
+from repro.network.stabilization import recovery_from_values
 from repro.network.trace import ExecutionTrace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -34,7 +34,39 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.algorithm import SynchronousCountingAlgorithm
     from repro.experiments.common import ExperimentResult
 
-__all__ = ["RunResult", "CampaignStore", "reduce_trace", "summarize_results"]
+__all__ = [
+    "RunResult",
+    "CampaignStore",
+    "reduce_run",
+    "reduce_trace",
+    "summarize_results",
+]
+
+
+_REQUIRED = object()
+
+
+def _typed(
+    data: Mapping[str, Any], name: str, kind: type, default: Any = _REQUIRED
+) -> Any:
+    """One stored field of a :class:`RunResult`, checked against its type.
+
+    ``None`` is accepted exactly for the fields whose default is ``None``;
+    integers are accepted (and widened) where a float is expected, but a
+    boolean never passes for a number (``type``, not ``isinstance``).
+    """
+    if name not in data:
+        if default is _REQUIRED:
+            raise KeyError(name)
+        return default
+    value = data[name]
+    if value is None and default is None:
+        return None
+    if kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise TypeError(f"field {name!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -135,34 +167,46 @@ class RunResult:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict`, type-checking every field.
+
+        A mistyped field (``"stabilization_round": "x"``, a boolean where a
+        count belongs, ...) raises :class:`TypeError`, so the store counts
+        the line as corrupt and resume re-runs it instead of loading a
+        record that later breaks the summaries.  Absent fields other than
+        the run identity take their defaults.
+        """
+        faulty = _typed(data, "faulty", list, [])
+        if any(type(node) is not int for node in faulty):
+            raise TypeError(f"field 'faulty' must list node ids, got {faulty!r}")
         return cls(
-            run_id=data["run_id"],
-            algorithm=data["algorithm"],
-            adversary=data["adversary"],
-            n=int(data["n"]),
-            f=int(data["f"]),
-            c=int(data["c"]),
-            faulty=tuple(data.get("faulty", ())),
-            sim_seed=int(data.get("sim_seed", 0)),
-            rounds_simulated=int(data.get("rounds_simulated", 0)),
-            stabilized=bool(data.get("stabilized", False)),
-            stabilization_round=data.get("stabilization_round"),
-            within_bound=data.get("within_bound"),
-            agreement_fraction=float(data.get("agreement_fraction", 0.0)),
-            stopped_early=bool(data.get("stopped_early", False)),
-            messages_sent=int(data.get("messages_sent", 0)),
-            error=data.get("error"),
-            model=data.get("model", "broadcast"),
-            max_pulls=data.get("max_pulls"),
-            mean_pulls=data.get("mean_pulls"),
-            max_bits=data.get("max_bits"),
-            post_agreement_failure_rate=data.get("post_agreement_failure_rate"),
-            last_perturbation_round=data.get("last_perturbation_round"),
-            recovered=data.get("recovered"),
-            recovery_round=data.get("recovery_round"),
-            re_stabilization_time=data.get("re_stabilization_time"),
-            rng=data.get("rng"),
+            run_id=_typed(data, "run_id", str),
+            algorithm=_typed(data, "algorithm", str),
+            adversary=_typed(data, "adversary", str),
+            n=_typed(data, "n", int),
+            f=_typed(data, "f", int),
+            c=_typed(data, "c", int),
+            faulty=tuple(faulty),
+            sim_seed=_typed(data, "sim_seed", int, 0),
+            rounds_simulated=_typed(data, "rounds_simulated", int, 0),
+            stabilized=_typed(data, "stabilized", bool, False),
+            stabilization_round=_typed(data, "stabilization_round", int, None),
+            within_bound=_typed(data, "within_bound", bool, None),
+            agreement_fraction=_typed(data, "agreement_fraction", float, 0.0),
+            stopped_early=_typed(data, "stopped_early", bool, False),
+            messages_sent=_typed(data, "messages_sent", int, 0),
+            error=_typed(data, "error", str, None),
+            model=_typed(data, "model", str, "broadcast"),
+            max_pulls=_typed(data, "max_pulls", int, None),
+            mean_pulls=_typed(data, "mean_pulls", float, None),
+            max_bits=_typed(data, "max_bits", int, None),
+            post_agreement_failure_rate=_typed(
+                data, "post_agreement_failure_rate", float, None
+            ),
+            last_perturbation_round=_typed(data, "last_perturbation_round", int, None),
+            recovered=_typed(data, "recovered", bool, None),
+            recovery_round=_typed(data, "recovery_round", int, None),
+            re_stabilization_time=_typed(data, "re_stabilization_time", int, None),
+            rng=_typed(data, "rng", str, None),
         )
 
     def to_trial_metrics(self) -> TrialMetrics:
@@ -177,6 +221,85 @@ class RunResult:
         )
 
 
+def reduce_run(
+    spec: "RunSpec",
+    algorithm: Any,
+    agreed: Sequence[int | None],
+    *,
+    faulty: tuple[int, ...],
+    stopped_early: bool,
+    model: str,
+    messages_sent: int,
+    max_pulls: int | None = None,
+    mean_pulls: float | None = None,
+    max_bits: int | None = None,
+    last_perturbation_round: int | None = None,
+    rng: str | None = None,
+) -> RunResult:
+    """Reduce one run's per-round agreed values to its campaign result.
+
+    The one reduction behind both engines: :func:`reduce_trace` (scalar
+    traces) and :func:`repro.campaigns.batching.reduce_summary` (batch
+    summaries) only extract ``agreed`` — the common correct output per round,
+    disagreement as ``None`` or any negative integer — and the run facts
+    below.  Everything derived from the values is computed here: the
+    stabilisation suffix, the within-bound test, the agreement fraction, the
+    pulling-model post-agreement failure rate and, for perturbed runs, the
+    recovery metrics.
+    """
+    metrics = trial_metrics_from_values(
+        agreed,
+        algorithm.c,
+        bound=algorithm.stabilization_bound(),
+        min_tail=spec.min_tail,
+        faulty=faulty,
+    )
+    recovered: bool | None = None
+    recovered_round: int | None = None
+    re_stabilization: int | None = None
+    if last_perturbation_round is not None:
+        recovery = recovery_from_values(
+            agreed,
+            algorithm.c,
+            min_tail=spec.min_tail,
+            last_perturbation_round=last_perturbation_round,
+        )
+        last_perturbation_round = recovery.last_perturbation_round
+        recovered = recovery.recovered
+        recovered_round = recovery.recovery_round
+        re_stabilization = recovery.re_stabilization_time
+    failure_rate: float | None = None
+    if model == "pulling":
+        failure_rate = post_agreement_failure_rate_from_values(agreed)
+    return RunResult(
+        run_id=spec.run_id,
+        algorithm=spec.algorithm_label(),
+        adversary=spec.adversary_label(),
+        n=algorithm.n,
+        f=algorithm.f,
+        c=algorithm.c,
+        faulty=faulty,
+        sim_seed=spec.sim_seed,
+        rounds_simulated=metrics.rounds_simulated,
+        stabilized=metrics.stabilized,
+        stabilization_round=metrics.stabilization_round,
+        within_bound=metrics.within_bound,
+        agreement_fraction=metrics.agreement_fraction,
+        stopped_early=stopped_early,
+        messages_sent=messages_sent,
+        model=model,
+        max_pulls=max_pulls,
+        mean_pulls=mean_pulls,
+        max_bits=max_bits,
+        post_agreement_failure_rate=failure_rate,
+        last_perturbation_round=last_perturbation_round,
+        recovered=recovered,
+        recovery_round=recovered_round,
+        re_stabilization_time=re_stabilization,
+        rng=rng,
+    )
+
+
 def reduce_trace(
     spec: "RunSpec",
     algorithm: Any,
@@ -184,38 +307,18 @@ def reduce_trace(
 ) -> RunResult:
     """Reduce a recorded execution to its compact campaign result.
 
-    Works for both models: pulling-model traces (identified by the
-    ``model: "pulling"`` trace metadata) additionally yield the Theorem 4
-    message-complexity statistics (``max_pulls`` / ``mean_pulls`` /
-    ``max_bits``) and the post-agreement failure rate, and their
-    ``messages_sent`` counts actual pulls instead of ``rounds × n × correct``
-    broadcasts.
+    The scalar engine's adapter onto :func:`reduce_run`.  Pulling-model
+    traces (identified by the ``model: "pulling"`` trace metadata)
+    additionally yield the Theorem 4 message-complexity statistics
+    (``max_pulls`` / ``mean_pulls`` / ``max_bits``), and their
+    ``messages_sent`` counts actual pulls instead of ``rounds × n ×
+    correct`` broadcasts.
     """
-    metrics = trial_metrics(
-        trace, bound=algorithm.stabilization_bound(), min_tail=spec.min_tail
-    )
-    last_perturbation: int | None = None
-    recovered: bool | None = None
-    recovered_round: int | None = None
-    re_stabilization: int | None = None
-    if trace.metadata.get("last_perturbation_round") is not None:
-        recovery = recovery_round(trace, min_tail=spec.min_tail)
-        last_perturbation = recovery.last_perturbation_round
-        recovered = recovery.recovered
-        recovered_round = recovery.recovery_round
-        re_stabilization = recovery.re_stabilization_time
     correct = algorithm.n - len(trace.faulty)
     model = trace.metadata.get("model", "broadcast")
-    max_pulls: int | None = None
-    mean_pulls: float | None = None
-    max_bits: int | None = None
-    failure_rate: float | None = None
+    pulls: dict[str, Any] = {}
     if model == "pulling":
-        stats = pull_statistics(trace)
-        max_pulls = stats["max_pulls"]
-        mean_pulls = stats["mean_pulls"]
-        max_bits = stats["max_bits"]
-        failure_rate = post_agreement_failure_rate(trace)
+        pulls = pull_statistics(trace)
         # mean_pulls per round is total/correct, so this recovers the total
         # number of pulls issued by correct nodes over the whole run.
         messages_sent = int(
@@ -228,33 +331,17 @@ def reduce_trace(
         )
     else:
         messages_sent = trace.num_rounds * algorithm.n * correct
-    return RunResult(
-        run_id=spec.run_id,
-        algorithm=spec.algorithm_label(),
-        adversary=spec.adversary_label(),
-        n=algorithm.n,
-        f=algorithm.f,
-        c=algorithm.c,
+    return reduce_run(
+        spec,
+        algorithm,
+        trace.agreed_values(),
         faulty=tuple(sorted(trace.faulty)),
-        sim_seed=spec.sim_seed,
-        rounds_simulated=trace.num_rounds,
-        stabilized=metrics.stabilized,
-        stabilization_round=metrics.stabilization_round,
-        within_bound=metrics.within_bound,
-        agreement_fraction=metrics.agreement_fraction,
         stopped_early=bool(trace.metadata.get("stopped_early", False)),
-        messages_sent=messages_sent,
-        error=None,
         model=model,
-        max_pulls=max_pulls,
-        mean_pulls=mean_pulls,
-        max_bits=max_bits,
-        post_agreement_failure_rate=failure_rate,
-        last_perturbation_round=last_perturbation,
-        recovered=recovered,
-        recovery_round=recovered_round,
-        re_stabilization_time=re_stabilization,
+        messages_sent=messages_sent,
+        last_perturbation_round=trace.metadata.get("last_perturbation_round"),
         rng=trace.metadata.get("rng"),
+        **pulls,
     )
 
 

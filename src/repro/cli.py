@@ -8,15 +8,14 @@ repro``.  Subcommands:
                through the :class:`~repro.scenarios.scenario.Scenario`
                facade and print a stabilisation summary
 ``campaign``   ``define`` / ``run`` / ``resume`` / ``summarize`` — the
-               campaign engine commands (shared with
-               ``python -m repro.campaigns``)
+               campaign engine commands
 ``experiment`` regenerate a paper artefact: ``table1``, ``table2``,
                ``figure1``, ``figure2``, ``scaling``, ``pulling``,
                ``ablation``
 ``list``       discover algorithms, adversaries, fault schedules and
-               experiments with one-line descriptions (the unified
-               component registry)
-``verify``     exhaustively model-check a registry algorithm
+               experiments with one-line descriptions (the component
+               catalogue of :mod:`repro.semantics`)
+``verify``     exhaustively model-check a catalogue algorithm
                (Section 2 definition of a synchronous counter), then run
                the static-analysis pass over the installed tree
 ``lint``       determinism-aware static analysis (:mod:`repro.lint`):
@@ -47,7 +46,7 @@ from repro.core.errors import ParameterError
 from repro.experiments.catalog import experiment_catalog
 from repro.lint.cli import register_lint_command
 from repro.obs.cli import add_observability_arguments, observation_from_args
-from repro.scenarios import Scenario, default_component_registry
+from repro.scenarios import Scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -187,9 +186,15 @@ def _fault_schedule_detail(name: str) -> list[str]:
 
 def _command_list(args: argparse.Namespace) -> int:
     """List algorithms, adversaries and experiments with descriptions."""
-    registry = default_component_registry()
+    from importlib.util import find_spec
+
+    from repro.semantics import ADVERSARY_SEMANTICS, ALGORITHM_SEMANTICS
+
     sections: list[str] = []
     verbose = getattr(args, "verbose", False)
+    # Batch notes are blank in NumPy-less environments, where no vectorised
+    # engine exists to promise anything.
+    have_numpy = find_spec("numpy") is not None
 
     def format_rows(rows: list[tuple[str, str, list[str]]]) -> str:
         width = max(len(name) for name, _, _ in rows)
@@ -200,29 +205,29 @@ def _command_list(args: argparse.Namespace) -> int:
                 lines.append(f"  {' ' * width}    {detail}")
         return "\n".join(lines)
 
-    def batch_suffix(entry: dict) -> str:
-        return f" [batch: {entry['batch']}]" if entry.get("batch") else ""
+    def batch_suffix(spec) -> str:
+        return f" [batch: {spec.coverage_note()}]" if have_numpy else ""
 
     if args.kind in ("algorithms", "all"):
         rows = [
             (
-                entry["name"],
-                f"[{entry['model']}] {entry['description']}" + batch_suffix(entry),
-                _algorithm_detail(entry["name"]) if verbose else [],
+                spec.name,
+                f"[{spec.model}] {spec.description}" + batch_suffix(spec),
+                _algorithm_detail(spec.name) if verbose else [],
             )
-            for entry in registry.describe(kind="algorithm")
-            if args.model is None or entry["model"] == args.model
+            for _, spec in sorted(ALGORITHM_SEMANTICS.items())
+            if args.model is None or spec.model == args.model
         ]
         if rows:
             sections.append("Algorithms:\n" + format_rows(rows))
     if args.kind in ("adversaries", "all"):
         rows = [
             (
-                entry["name"],
-                entry["description"] + batch_suffix(entry),
-                _adversary_detail(entry["name"]) if verbose else [],
+                spec.name,
+                spec.description + batch_suffix(spec),
+                _adversary_detail(spec.name) if verbose else [],
             )
-            for entry in registry.describe(kind="adversary")
+            for _, spec in sorted(ADVERSARY_SEMANTICS.items())
         ]
         sections.append("Adversaries:\n" + format_rows(rows))
     if args.kind in ("fault-schedules", "all"):
@@ -251,20 +256,18 @@ def _command_list(args: argparse.Namespace) -> int:
 
 
 def _command_verify(args: argparse.Namespace) -> int:
-    """Exhaustively verify a registry algorithm as a synchronous counter."""
+    """Exhaustively verify a catalogue algorithm as a synchronous counter."""
+    from repro.semantics import algorithm_semantics, build_algorithm
     from repro.verification.checker import verify_counter
 
-    registry = default_component_registry()
-    component = registry.get(args.algorithm.name, kind="algorithm")
-    if component.model != "broadcast":
+    spec = algorithm_semantics(args.algorithm.name)
+    if spec.model != "broadcast":
         raise ParameterError(
             f"verify needs a broadcast-model algorithm with an enumerable "
-            f"state space; {component.name!r} is a {component.model}-model "
+            f"state space; {spec.name!r} is a {spec.model}-model "
             "algorithm"
         )
-    algorithm = registry.build_algorithm(
-        args.algorithm.name, **dict(args.algorithm.params)
-    )
+    algorithm = build_algorithm(args.algorithm.name, **dict(args.algorithm.params))
     report = verify_counter(
         algorithm,
         max_faults=args.max_faults,
@@ -346,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="+",
         type=parse_algorithm,
         metavar="NAME[:k=v,...]",
-        help="registry algorithm(s) with parameters, e.g. 'figure2:levels=1,c=2'",
+        help="catalogue algorithm(s) with parameters, e.g. 'figure2:levels=1,c=2'",
     )
     run.add_argument(
         "--adversary",
@@ -474,8 +477,8 @@ def build_parser() -> argparse.ArgumentParser:
         ),
         description=(
             "Discovery: every registered algorithm, adversary strategy and "
-            "fault-schedule preset (the unified component registry and "
-            "semantics catalogue) plus the experiment catalogue."
+            "fault-schedule preset (the semantics catalogue) plus the "
+            "experiment catalogue."
         ),
     )
     list_parser.set_defaults(handler=_command_list)
@@ -502,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = subparsers.add_parser(
         "verify",
-        help="exhaustively model-check a registry algorithm",
+        help="exhaustively model-check a catalogue algorithm",
         description=(
             "Exhaustively verify that an algorithm is a synchronous counter "
             "(Section 2): check every execution from every configuration "
@@ -515,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
         "algorithm",
         type=parse_algorithm,
         metavar="NAME[:k=v,...]",
-        help="registry algorithm with parameters, e.g. 'trivial:c=3'",
+        help="catalogue algorithm with parameters, e.g. 'trivial:c=3'",
     )
     verify.add_argument(
         "--max-faults",

@@ -8,8 +8,7 @@ command line — so each experiment is regenerated with::
 
     python -m repro experiment <name>
 
-(``python -m repro.experiments.<module>`` remains as a deprecated alias;
-``python -m repro list`` shows every experiment with its description.)
+(``python -m repro list`` shows every experiment with its description.)
 
 The mapping from experiment id (DESIGN.md) to module:
 

@@ -15,13 +15,9 @@ analysis depends on; each gets a sweep:
 * **Sample size M** (pulling model) — communication vs reliability.
 
 Run with ``python -m repro experiment ablation``
-(``python -m repro.experiments.ablation`` is a deprecated alias).
 """
 
 from __future__ import annotations
-
-import sys
-from typing import Sequence
 
 from repro.core.boosting import BoostedCounter
 from repro.core.parameters import BoostingParameters
@@ -35,7 +31,6 @@ __all__ = [
     "run_block_count_ablation",
     "run_counter_size_ablation",
     "run_adversary_ablation",
-    "main",
 ]
 
 
@@ -107,8 +102,8 @@ def run_adversary_ablation(
     counter = figure2_counter(levels=1, c=2)
     for name in strategies:
         # Routed through build_adversary so an accidentally empty faulty set
-        # fails loudly instead of silently running fault-free; the bare
-        # STRATEGIES[name] constructor used to accept it.
+        # fails loudly instead of silently running fault-free; a bare
+        # strategy class constructor would accept it.
         def factory(faulty, name=name):
             return build_adversary(name, faulty)
 
@@ -163,16 +158,3 @@ def run_adversary_ablation(
         "why the phase king layer is necessary."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment ablation``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "ablation", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

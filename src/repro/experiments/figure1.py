@@ -16,14 +16,11 @@ quantities out of a *real* execution of the boosted counter ``A(12, 3)`` via
 the vote diagnostics.
 
 Run with ``python -m repro experiment figure1``
-(``python -m repro.experiments.figure1`` is a deprecated alias).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.blocks import (
     CounterInterpretation,
@@ -33,7 +30,7 @@ from repro.core.blocks import (
 from repro.experiments.common import ExperimentResult
 from repro.util.rng import ensure_rng
 
-__all__ = ["run_figure1", "Figure1Trace", "main"]
+__all__ = ["run_figure1", "Figure1Trace"]
 
 
 @dataclass(frozen=True)
@@ -123,16 +120,3 @@ def run_figure1(
         "length >= tau within c_{k-1} rounds after stabilisation."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment figure1``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "figure1", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

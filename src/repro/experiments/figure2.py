@@ -17,15 +17,14 @@ under several fault placements and adversary strategies:
   wait for the next common interval).
 
 Run with ``python -m repro experiment figure2`` (add ``--large`` to include
-the 36-node level, which takes a few minutes);
-``python -m repro.experiments.figure2`` is a deprecated alias.
+the 36-node level, which takes a few minutes).
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
+from repro.analysis.metrics import trial_metrics
 from repro.core.boosting import BoostedCounter, BoostedState
 from repro.core.phase_king import INFINITY
 from repro.core.recursion import figure2_counter, plan_figure2
@@ -43,9 +42,8 @@ from repro.network.adversary import (
     random_faulty_set,
 )
 from repro.network.simulator import SimulationConfig, run_simulation
-from repro.network.stabilization import stabilization_round
 
-__all__ = ["run_figure2", "misaligned_initial_states", "main"]
+__all__ = ["run_figure2", "misaligned_initial_states"]
 
 _ADVERSARIES = {
     "random-state": RandomStateAdversary,
@@ -177,15 +175,16 @@ def run_figure2(
             ),
             initial_states=misaligned_initial_states(counter, seed=seed),
         )
-        stab = stabilization_round(trace)
+        metrics = trial_metrics(trace, bound=counter.stabilization_bound())
+        stab_round = metrics.stabilization_round
         result.add_row(
             scenario="mis-aligned start / phase-king-skew",
             trials=1,
-            stabilized=1 if stab.stabilized else 0,
-            mean_round=stab.round if stab.round is not None else "-",
-            max_round=stab.round if stab.round is not None else "-",
+            stabilized=1 if metrics.stabilized else 0,
+            mean_round=stab_round if stab_round is not None else "-",
+            max_round=stab_round if stab_round is not None else "-",
             bound=counter.stabilization_bound(),
-            within_bound=(stab.round or 0) <= (counter.stabilization_bound() or 0),
+            within_bound=bool(metrics.within_bound),
         )
 
     result.add_note(f"Construction plan: {plan.summary()}")
@@ -194,16 +193,3 @@ def run_figure2(
         "here is Theorem 1's stabilisation bound for each level of the recursion."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment figure2``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "figure2", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -33,12 +33,10 @@ separate sweep with the maximal fault budget shows the failure-probability
 cliff for small ``M``.
 
 Run with ``python -m repro experiment pulling [--jobs N]``
-(``python -m repro.experiments.pulling`` is a deprecated alias).
 """
 
 from __future__ import annotations
 
-import sys
 from typing import Sequence
 
 from repro.analysis.bounds import corollary4_pull_bound
@@ -59,7 +57,7 @@ from repro.sampling.pseudo_random import PseudoRandomBoostedCounter
 from repro.sampling.thresholds import recommended_sample_size
 from repro.util.rng import derive_rng, ensure_rng
 
-__all__ = ["run_corollary4", "run_corollary5", "post_agreement_failure_rate", "main"]
+__all__ = ["run_corollary4", "run_corollary5", "post_agreement_failure_rate"]
 
 
 def _build_sampled_counter(sample_size: int | None, pseudo_random: bool = False, link_seed: int = 0):
@@ -263,16 +261,3 @@ def run_corollary5(
         "(failure_rate_after_agreement = 0 for successful seeds)."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment pulling``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "pulling", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -17,14 +17,11 @@ Four sub-experiments, each a function returning an
   asymptotically better than Theorem 2 for the same resilience.
 
 Run with ``python -m repro experiment scaling``
-(``python -m repro.experiments.scaling`` is a deprecated alias).
 """
 
 from __future__ import annotations
 
 import math
-import sys
-from typing import Sequence
 
 from repro.analysis.bounds import theorem1_space_bits, theorem3_space_envelope
 from repro.core.boosting import BoostedCounter
@@ -44,7 +41,6 @@ __all__ = [
     "run_corollary1_scaling",
     "run_theorem2_scaling",
     "run_theorem3_scaling",
-    "main",
 ]
 
 
@@ -215,16 +211,3 @@ def run_theorem3_scaling(
         f"{plan_figure2(levels=2, c=c).state_bits_bound()} bits."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment scaling``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "scaling", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

@@ -13,13 +13,9 @@ reproduces the table with two kinds of rows:
   report the observed stabilisation times next to the theoretical bounds.
 
 Run with ``python -m repro experiment table1``
-(``python -m repro.experiments.table1`` is a deprecated alias).
 """
 
 from __future__ import annotations
-
-import sys
-from typing import Sequence
 
 from repro.analysis.stats import summarize
 from repro.core.recursion import figure2_counter, optimal_resilience_counter
@@ -28,7 +24,7 @@ from repro.counters.randomized import RandomizedFollowMajorityCounter
 from repro.experiments.common import ExperimentResult, run_counter_trials, summarize_trials
 from repro.network.adversary import PhaseKingSkewAdversary, RandomStateAdversary
 
-__all__ = ["run_table1", "main"]
+__all__ = ["run_table1"]
 
 
 def run_table1(
@@ -151,16 +147,3 @@ def run_table1(
         "the bounds cover the adversarially worst initial configuration and fault timing."
     )
     return result
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """Deprecated alias for ``python -m repro experiment table1``."""
-    from repro.cli import main as repro_main
-
-    return repro_main(
-        ["experiment", "table1", *(sys.argv[1:] if argv is None else argv)]
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

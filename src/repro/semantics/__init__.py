@@ -1,11 +1,12 @@
 """Single source of truth for component semantics.
 
-Every discovery and execution surface — the algorithm registry, the scalar
-adversary factory, the batch kernel dispatch, the parity-fuzz sweep, the
-component registry behind ``python -m repro list`` and the README coverage
-matrix — derives its knowledge about components from the specs declared
-here.  See :mod:`repro.semantics.spec` for the dataclasses,
-:mod:`repro.semantics.catalog` for the declarations and
+Every discovery and execution surface — construction by name
+(:func:`build_algorithm`, the scalar adversary factory), the batch kernel
+dispatch, the parity-fuzz sweep, ``python -m repro list`` and the README
+coverage matrix — derives its knowledge about components from the specs
+declared here, and :func:`algorithm_semantics` / :func:`adversary_semantics`
+are the only name lookups.  See :mod:`repro.semantics.spec` for the
+dataclasses, :mod:`repro.semantics.catalog` for the declarations and
 :mod:`repro.semantics.selfcheck` for the empirical audit.
 """
 
@@ -18,10 +19,10 @@ from repro.semantics.catalog import (
     adversary_semantics,
     algorithm_names,
     algorithm_semantics,
+    build_algorithm,
     fault_schedule_descriptions,
     fault_schedule_names,
     fault_schedule_semantics,
-    strategy_descriptions,
     strategy_names,
 )
 from repro.semantics.selfcheck import verify
@@ -59,13 +60,13 @@ __all__ = [
     "adversary_semantics",
     "algorithm_names",
     "algorithm_semantics",
+    "build_algorithm",
     "fault_schedule_descriptions",
     "fault_schedule_names",
     "fault_schedule_semantics",
     "flat_encoding",
     "format_schema",
     "resolve_binding",
-    "strategy_descriptions",
     "strategy_names",
     "validate_parameters",
     "verify",

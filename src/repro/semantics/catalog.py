@@ -1,13 +1,16 @@
 """The component catalogue: every algorithm and adversary, described once.
 
 This module is the single source of truth the rest of the stack derives its
-component knowledge from:
+component knowledge from, and its accessors are the only name lookups:
 
-* :func:`repro.counters.registry.default_registry` registers its factories
-  (names, descriptions, parameter schemas, determinism flags) from
-  :data:`ALGORITHM_SEMANTICS`;
-* :data:`repro.network.adversary.STRATEGIES` and the generated
-  ``STRATEGY_DESCRIPTIONS`` come from :data:`ADVERSARY_SEMANTICS`;
+* :func:`algorithm_semantics` / :func:`adversary_semantics` resolve a name to
+  its spec or raise the one :class:`~repro.core.errors.ParameterError` style
+  (``unknown algorithm 'x'; registered algorithms: ...``);
+  :func:`build_algorithm` adds schema validation and construction — the
+  campaign layer, the :class:`~repro.scenarios.scenario.Scenario` facade, the
+  ``python -m repro`` CLI and the parity harness all build through it;
+* :func:`repro.network.adversary.build_adversary` constructs strategies from
+  :data:`ADVERSARY_SEMANTICS`;
 * :data:`repro.network.batch.ADVERSARY_BATCH_KERNELS`, the per-group
   bit-identity answers (``AdversaryBatchKernel.is_deterministic_for``) and
   :func:`~repro.network.batch.adversary_kernel_coverage` read the declared
@@ -15,8 +18,7 @@ component knowledge from:
 * :mod:`repro.network.parity` generates its sweep space (``FUZZ_ALGORITHMS``,
   ``ALL_STRATEGIES``, the optional-parameter choices) and its equivalence
   class expectations from the same specs;
-* :func:`repro.scenarios.registry.default_component_registry` and the CLI
-  discovery surfaces assemble their listings from here.
+* ``python -m repro list`` renders its listings from here.
 
 Builder callables import the implementation modules lazily, so importing the
 catalogue pulls in neither NumPy nor the engines.  The declared facts are
@@ -45,10 +47,10 @@ __all__ = [
     "FAULT_SCHEDULE_SEMANTICS",
     "algorithm_names",
     "algorithm_semantics",
+    "build_algorithm",
     "adversary_semantics",
     "active_strategy_names",
     "strategy_names",
-    "strategy_descriptions",
     "adversary_coverage_notes",
     "fault_schedule_names",
     "fault_schedule_semantics",
@@ -447,15 +449,28 @@ def algorithm_names() -> tuple[str, ...]:
 
 
 def algorithm_semantics(name: str) -> AlgorithmSemantics:
-    """The semantics of one registry algorithm."""
+    """The semantics of one registered algorithm (the algorithm name lookup)."""
     try:
         return ALGORITHM_SEMANTICS[name]
     except KeyError:
         known = ", ".join(sorted(ALGORITHM_SEMANTICS))
         raise ParameterError(
-            f"no semantics declared for algorithm {name!r}; "
-            f"declared algorithms: {known}"
+            f"unknown algorithm {name!r}; registered algorithms: {known}"
         ) from None
+
+
+def build_algorithm(name: str, **params: Any) -> Any:
+    """Construct a registered algorithm by name.
+
+    Returns a :class:`~repro.core.algorithm.SynchronousCountingAlgorithm` for
+    broadcast-model entries and a
+    :class:`~repro.network.pulling.PullingAlgorithm` for pulling-model ones.
+    Parameters outside the declared schema raise :class:`ParameterError` with
+    the schema in the message instead of a bare ``TypeError``.
+    """
+    spec = algorithm_semantics(name)
+    spec.validate(params)
+    return spec.build(**params)
 
 
 def adversary_semantics(name: str) -> AdversarySemantics:
@@ -463,10 +478,9 @@ def adversary_semantics(name: str) -> AdversarySemantics:
     try:
         return ADVERSARY_SEMANTICS[name]
     except KeyError:
-        known = ", ".join(strategy_names())
+        known = ", ".join(sorted(ADVERSARY_SEMANTICS))
         raise ParameterError(
-            f"no semantics declared for adversary strategy {name!r}; "
-            f"declared strategies: {known}"
+            f"unknown adversary {name!r}; registered adversaries: {known}"
         ) from None
 
 
@@ -478,13 +492,6 @@ def active_strategy_names() -> tuple[str, ...]:
 def strategy_names() -> tuple[str, ...]:
     """The full strategy vocabulary: ``"none"`` first, then sorted actives."""
     return ("none", *active_strategy_names())
-
-
-def strategy_descriptions() -> dict[str, str]:
-    """Strategy name -> one-line description, generated from the specs."""
-    return {
-        name: ADVERSARY_SEMANTICS[name].description for name in strategy_names()
-    }
 
 
 def fault_schedule_names() -> tuple[str, ...]:

@@ -222,6 +222,12 @@ class AlgorithmSemantics:
         """Resolve the vectorised kernel class (imports NumPy)."""
         return resolve_binding(self.kernel_binding)
 
+    def coverage_note(self) -> str:
+        """The batch-engine coverage note shown by discovery surfaces."""
+        if self.batch_deterministic:
+            return "vectorised, bit-identical (int64-safe parameterisations)"
+        return "vectorised, statistically equivalent (NumPy RNG)"
+
     def validate(self, params: Mapping[str, Any]) -> None:
         """Reject parameters outside the schema (:class:`ParameterError`)."""
         validate_parameters("algorithm", self.name, self.parameters, params)

@@ -4,7 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.metrics import agreement_fraction, pull_statistics, trial_metrics
+from repro.analysis.metrics import (
+    agreement_fraction,
+    pull_statistics,
+    trial_metrics,
+    trial_metrics_from_values,
+)
 from repro.analysis.stats import SummaryStatistics, percentile, success_rate, summarize
 from repro.network.trace import ExecutionTrace, RoundRecord
 
@@ -46,6 +51,24 @@ class TestTrialMetrics:
 
     def test_agreement_fraction_empty(self):
         assert agreement_fraction(trace_from_agreed([])) == 0.0
+
+    def test_trace_wrapper_matches_values(self):
+        trace = trace_from_agreed([None, 1, 2, None, 1, 2, 0])
+        assert trial_metrics(trace, bound=4) == trial_metrics_from_values(
+            trace.agreed_values(), 3, bound=4, faulty=(5,)
+        )
+
+    def test_negative_values_count_as_disagreement(self):
+        trace_values = [None, 1, 2, None, 1, 2, 0]
+        batch_values = [-1 if value is None else value for value in trace_values]
+        assert trial_metrics_from_values(
+            batch_values, 3, bound=4
+        ) == trial_metrics_from_values(trace_values, 3, bound=4)
+
+    def test_within_bound_unknown_without_bound(self):
+        metrics = trial_metrics(trace_from_agreed([None, 1, 2, 0]))
+        assert metrics.stabilized
+        assert metrics.within_bound is None
 
 
 class TestPullStatistics:

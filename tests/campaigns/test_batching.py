@@ -407,13 +407,14 @@ class TestCli:
         assert len(store.read_text().strip().splitlines()) == 2
 
     def test_campaign_define_and_run_engine(self, capsys, tmp_path):
-        from repro.campaigns.cli import main
+        from repro.cli import main
 
         definition = tmp_path / "c.json"
         store = tmp_path / "c.jsonl"
         assert (
             main(
                 [
+                    "campaign",
                     "define",
                     "--name",
                     "batched",
@@ -437,13 +438,17 @@ class TestCli:
         )
         assert json.loads(definition.read_text())["engine"] == "batch"
         assert (
-            main(["run", str(definition), "--store", str(store), "--quiet"]) == 0
+            main(
+                ["campaign", "run", str(definition), "--store", str(store), "--quiet"]
+            )
+            == 0
         )
         capsys.readouterr()
         # The --engine override accepts scalar as well and reruns nothing.
         assert (
             main(
                 [
+                    "campaign",
                     "run",
                     str(definition),
                     "--store",

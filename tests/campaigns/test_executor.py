@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.campaigns.executor import (
     ParallelExecutor,
     SerialExecutor,
@@ -383,6 +385,48 @@ class TestCampaignStore:
         messages = [str(item.message) for item in caught]
         assert any("unparseable line" in message for message in messages)
 
+    def test_from_dict_type_checks_every_field(self):
+        data = execute_run(
+            RunSpec(run_id="t", algorithm=AlgorithmSpec.create("trivial", {"c": 3}))
+        ).to_dict()
+        assert RunResult.from_dict(data).to_dict() == data
+        assert RunResult.from_dict({**data, "agreement_fraction": 1}).agreement_fraction == 1.0
+        for field, value in (
+            ("n", "4"),
+            ("stabilized", 1),
+            ("messages_sent", True),
+            ("faulty", [True]),
+            ("within_bound", "yes"),
+            ("agreement_fraction", "0.5"),
+            ("error", 3),
+        ):
+            with pytest.raises(TypeError, match=field):
+                RunResult.from_dict({**data, field: value})
+
+    def test_mistyped_record_is_corrupt_and_re_executes(self, tmp_path):
+        import json
+        import warnings
+
+        campaign = fixed_campaign(runs_per_setting=1)
+        runs = campaign.expand()
+        good, bad = runs[:2]
+        store = CampaignStore(tmp_path / "campaign.jsonl")
+        store.append(execute_run(good))
+        record = execute_run(bad).to_dict()
+        record["stabilization_round"] = "x"
+        with store.path.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(record) + "\n")
+
+        assert store.load() == [execute_run(good)]
+        assert store.corrupt_lines == 1
+        assert store.completed_ids() == {good.run_id}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_campaign(campaign, store=store)
+        assert report.skipped == 1
+        assert report.executed == len(runs) - 1
+        assert bad.run_id in store.completed_ids()
+        summarize_results(store.load())
 
 class TestRunCampaign:
     def test_persists_and_resumes(self, tmp_path):

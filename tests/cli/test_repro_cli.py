@@ -15,19 +15,6 @@ from repro.cli import main
 REPO_SRC = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir, "src")
 
 
-def run_module(module: str, *argv: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.abspath(REPO_SRC) + os.pathsep + env.get(
-        "PYTHONPATH", ""
-    )
-    return subprocess.run(
-        [sys.executable, "-m", module, *argv],
-        capture_output=True,
-        env=env,
-        timeout=600,
-    )
-
-
 class TestVersion:
     def test_version_flag_prints_package_version(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -244,41 +231,31 @@ class TestVerify:
         assert "broadcast-model" in capsys.readouterr().err
 
 
-class TestExperimentEquivalence:
-    """``python -m repro experiment X`` must equal the legacy module path.
+class TestExperimentCommand:
+    """``repro experiment X`` end to end, in process, at reduced parameters.
 
-    Both paths are exercised as real subprocesses; stdout must match byte
-    for byte at the same (reduced) parameters, and both must exit 0.
+    Each experiment must exit 0, print its tables, and print exactly the
+    same bytes when invoked twice (every experiment is fixed-seed).
     """
 
-    CASES = {
-        "figure1": ("repro.experiments.figure1", []),
-        "figure2": ("repro.experiments.figure2", ["--trials", "2"]),
-        "table1": (
-            "repro.experiments.table1",
-            ["--trials", "2", "--randomized-trials", "3"],
-        ),
-        "table2": ("repro.experiments.table2_phase_king", ["--trials", "4"]),
-        "scaling": (
-            "repro.experiments.scaling",
-            ["--trials", "1", "--measured-trials", "1"],
-        ),
-        "pulling": (
-            "repro.experiments.pulling",
-            ["--trials", "1", "--link-seeds", "2"],
-        ),
-        "ablation": ("repro.experiments.ablation", ["--trials", "1"]),
+    ARGV = {
+        "figure1": [],
+        "figure2": ["--trials", "2"],
+        "table1": ["--trials", "2", "--randomized-trials", "3"],
+        "table2": ["--trials", "4"],
+        "scaling": ["--trials", "1", "--measured-trials", "1"],
+        "pulling": ["--trials", "1", "--link-seeds", "2"],
+        "ablation": ["--trials", "1"],
     }
 
-    @pytest.mark.parametrize("name", sorted(CASES))
-    def test_experiment_rows_are_byte_identical(self, name):
-        legacy_module, argv = self.CASES[name]
-        unified = run_module("repro", "experiment", name, *argv)
-        legacy = run_module(legacy_module, *argv)
-        assert unified.returncode == 0, unified.stderr.decode()
-        assert legacy.returncode == 0, legacy.stderr.decode()
-        assert unified.stdout
-        assert unified.stdout == legacy.stdout
+    @pytest.mark.parametrize("name", sorted(ARGV))
+    def test_experiment_output_is_reproducible(self, name, capsys):
+        outputs = []
+        for _ in range(2):
+            assert main(["experiment", name, *self.ARGV[name]]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0]
+        assert outputs[0] == outputs[1]
 
 
 class TestOOResilience:

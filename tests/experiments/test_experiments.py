@@ -3,7 +3,7 @@
 Each experiment module must run end to end, produce rows with the expected
 columns and satisfy the paper's qualitative claims (within-bound
 stabilisation, Lemma checks, decreasing failure rates, ...).  Full-size runs
-are exercised by the benchmarks and by ``python -m repro.experiments.*``.
+are exercised by the benchmarks and by ``python -m repro experiment <name>``.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.counters.registry import default_registry
+from repro.semantics import build_algorithm
 from repro.faults.schedule import (
     Perturbations,
     build_churn_schedule,
@@ -20,7 +20,7 @@ from repro.obs.events import FaultInjected, NodeRecovered
 
 
 def algorithm():
-    return default_registry().build("naive-majority", n=6, c=3, claimed_resilience=1)
+    return build_algorithm("naive-majority", n=6, c=3, claimed_resilience=1)
 
 
 def run(perturbations, seed=11, max_rounds=60, window=None, observer=None):

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from repro.campaigns.cli import main as campaigns_main
 from repro.cli import main as repro_main
 from repro.obs import (
     CampaignFinished,
@@ -33,8 +32,9 @@ RUN_ARGS = [
 
 def define_campaign(tmp_path) -> str:
     spec_path = str(tmp_path / "obs.campaign.json")
-    code = campaigns_main(
+    code = repro_main(
         [
+            "campaign",
             "define",
             "--name",
             "obs-cli",
@@ -125,8 +125,9 @@ class TestCampaignRunFlags:
         spec_path = define_campaign(tmp_path)
         metrics_path = tmp_path / "metrics.json"
         events_path = tmp_path / "events.jsonl"
-        code = campaigns_main(
+        code = repro_main(
             [
+                "campaign",
                 "run",
                 spec_path,
                 "--store",
@@ -150,10 +151,11 @@ class TestCampaignRunFlags:
     def test_resume_is_visible_in_the_event_stream(self, tmp_path):
         spec_path = define_campaign(tmp_path)
         store = str(tmp_path / "store.jsonl")
-        assert campaigns_main(["run", spec_path, "--store", store, "--quiet"]) == 0
+        assert repro_main(["campaign", "run", spec_path, "--store", store, "--quiet"]) == 0
         events_path = tmp_path / "resume-events.jsonl"
-        code = campaigns_main(
+        code = repro_main(
             [
+                "campaign",
                 "resume",
                 spec_path,
                 "--store",

@@ -2,15 +2,15 @@
 
 Four families of checks:
 
-* **completeness** — every component reachable through
-  :func:`repro.scenarios.registry.default_component_registry` traces back to
-  a spec in the catalogue (and vice versa), so discovery surfaces cannot
-  drift from the semantics layer;
+* **completeness** — every component ``python -m repro list`` shows traces
+  back to a spec in the catalogue (and vice versa), and every catalogue
+  algorithm builds by name, so discovery surfaces cannot drift from the
+  semantics layer;
 * **self-check** — :func:`repro.semantics.verify` passes on the real
   catalogue and *fails* on tampered copies (a mis-declared determinism
   class, state space or parameter schema is caught, not trusted);
 * **derivation** — the parity-fuzz sweep space, the strategy vocabulary and
-  the kernel dispatch tables are generated from the registry product, and
+  the kernel dispatch tables are generated from the catalogue, and
   the old hand-maintained copies are verifiably gone from the derived
   modules' source;
 * **error style** — unknown parameters raise
@@ -24,10 +24,9 @@ import dataclasses
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.core.errors import ParameterError, SimulationError
-from repro.counters.registry import default_registry
 from repro.network.adversary import build_adversary
-from repro.scenarios.registry import default_component_registry
 from repro.semantics import (
     ADVERSARY_SEMANTICS,
     ALGORITHM_SEMANTICS,
@@ -41,6 +40,7 @@ from repro.semantics import (
     adversary_semantics,
     algorithm_names,
     algorithm_semantics,
+    build_algorithm,
     format_schema,
     resolve_binding,
     strategy_names,
@@ -56,45 +56,46 @@ numpy = pytest.importorskip("numpy")
 # ---------------------------------------------------------------------- #
 
 
+def _listing(capsys, kind: str) -> dict[str, str]:
+    """``repro list <kind>`` as a name -> row text mapping."""
+    assert repro_main(["list", kind]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    return dict(row.strip().split(None, 1) for row in rows if row.strip())
+
+
 class TestCompleteness:
-    def test_every_component_registry_entry_has_a_spec(self) -> None:
-        registry = default_component_registry()
-        for name in registry.names(kind="algorithm"):
+    def test_every_listed_component_has_a_spec(self, capsys) -> None:
+        for name in _listing(capsys, "algorithms"):
             assert name in ALGORITHM_SEMANTICS, f"algorithm {name!r} has no spec"
-        for name in registry.names(kind="adversary"):
+        for name in _listing(capsys, "adversaries"):
             assert name in ADVERSARY_SEMANTICS, f"adversary {name!r} has no spec"
 
-    def test_every_spec_reaches_the_component_registry(self) -> None:
-        registry = default_component_registry()
-        assert sorted(ALGORITHM_SEMANTICS) == registry.names(kind="algorithm")
-        assert sorted(ADVERSARY_SEMANTICS) == registry.names(kind="adversary")
+    def test_every_spec_reaches_the_listing(self, capsys) -> None:
+        assert sorted(ALGORITHM_SEMANTICS) == list(_listing(capsys, "algorithms"))
+        assert sorted(ADVERSARY_SEMANTICS) == list(_listing(capsys, "adversaries"))
 
-    def test_descriptions_and_flags_come_from_the_spec(self) -> None:
-        registry = default_component_registry()
+    def test_descriptions_and_notes_come_from_the_spec(self, capsys) -> None:
+        algorithms = _listing(capsys, "algorithms")
         for name in algorithm_names():
             spec = algorithm_semantics(name)
-            component = registry.get(name, kind="algorithm")
-            assert component.description == spec.description
-            assert component.model == spec.model
-            assert component.deterministic == spec.scalar_deterministic
-            assert component.source == spec.source
+            assert algorithms[name] == (
+                f"[{spec.model}] {spec.description} [batch: {spec.coverage_note()}]"
+            )
+        adversaries = _listing(capsys, "adversaries")
         for name in strategy_names():
             spec = adversary_semantics(name)
-            component = registry.get(name, kind="adversary")
-            assert component.description == spec.description
-            assert component.deterministic == spec.scalar_deterministic
-            assert component.batch == spec.coverage_note()
+            assert adversaries[name] == (
+                f"{spec.description} [batch: {spec.coverage_note()}]"
+            )
 
-    def test_algorithm_registry_is_assembled_from_the_specs(self) -> None:
-        registry = default_registry()
-        assert registry.names() == sorted(algorithm_names())
+    def test_every_algorithm_builds_by_name_as_declared(self) -> None:
+        from repro.network.pulling import PullingAlgorithm
+
         for name in algorithm_names():
-            factory = registry.factory(name)
             spec = algorithm_semantics(name)
-            assert factory.description == spec.description
-            assert factory.parameters == spec.parameters
-            assert factory.deterministic == spec.scalar_deterministic
-            assert factory.model == spec.model
+            algorithm = build_algorithm(name)
+            assert isinstance(algorithm, PullingAlgorithm) == (spec.model == "pulling")
+            assert algorithm.deterministic == spec.scalar_deterministic
 
     def test_batch_kernel_dispatch_covers_every_active_strategy(self) -> None:
         from repro.network.batch import ADVERSARY_BATCH_KERNELS
@@ -155,7 +156,7 @@ class TestVerify:
 
 
 # ---------------------------------------------------------------------- #
-# Derivation: sweep space and dispatch generated from the registry product
+# Derivation: sweep space and dispatch generated from the catalogue
 # ---------------------------------------------------------------------- #
 
 
@@ -304,24 +305,13 @@ class TestParameterErrors:
         with pytest.raises(SimulationError, match="unknown adversary strategy"):
             build_adversary("nope", {0})
 
-    def test_algorithm_registry_unknown_param_carries_the_schema(self) -> None:
+    def test_build_algorithm_unknown_param_carries_the_schema(self) -> None:
         with pytest.raises(ParameterError) as excinfo:
-            default_registry().build("naive-majority", bogus=1)
+            build_algorithm("naive-majority", bogus=1)
         message = str(excinfo.value)
         assert "bogus" in message
         assert "accepted parameters" in message
         assert "claimed_resilience" in message
-
-    def test_undeclared_factories_stay_unchecked(self) -> None:
-        from repro.counters.registry import AlgorithmFactory
-
-        registry = default_registry()
-        registry.register(
-            AlgorithmFactory(
-                name="ad-hoc", description="test-only", build=lambda **kw: kw
-            )
-        )
-        assert registry.build("ad-hoc", anything=1) == {"anything": 1}
 
 
 # ---------------------------------------------------------------------- #
@@ -352,8 +342,8 @@ class TestSpecPrimitives:
     def test_determinism_class_refines_per_kernel(self) -> None:
         from repro.network.batch import build_batch_kernel
 
-        flat = build_batch_kernel(default_registry().build("naive-majority"))
-        boosted = build_batch_kernel(default_registry().build("corollary1"))
+        flat = build_batch_kernel(build_algorithm("naive-majority"))
+        boosted = build_batch_kernel(build_algorithm("corollary1"))
         assert FLAT_ONLY.for_kernel(flat) is True
         assert FLAT_ONLY.for_kernel(boosted) is False
         assert BIT_IDENTICAL.for_kernel(boosted) is True
