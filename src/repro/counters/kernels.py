@@ -23,6 +23,24 @@ counter's fields plus the phase king registers ``(a, d)``, mirroring
 integer encoding for every counter the planner instantiates.  Constructions
 whose counter periods would overflow int64 (Corollary 1 beyond ``f = 4``)
 report no kernel and fall back to the scalar engine.
+
+A boosted round is kept to few NumPy calls, because a chunk is often only a
+few dozen trials wide and per-call overhead then dominates:
+
+* the message matrix arrives in one piece — the view scatters every forged
+  column in a single indexed assignment
+  (:meth:`~repro.network.batch.BatchMessages.received_stack`);
+* every gather is plain fancy indexing on flat index arrays — own-block
+  columns and own registers through indices each level builds once per
+  receiver set and caches, the leader's round block and the king's column
+  through :func:`pick`;
+* majorities are sort-median votes (:func:`strict_majority`: the median of
+  the sorted axis is the only possible strict-majority value, counted
+  once), and the vote instruction's ``z_j > F`` test reads runs of the
+  sorted column instead of an ``n x n`` pairwise tally;
+* the phase king selects its instruction with one ``np.choose`` and
+  applies the guarded increment once, and each level writes its fields into
+  one preallocated output array.
 """
 
 from __future__ import annotations
@@ -57,30 +75,40 @@ _BIG = np.iinfo(np.int64).max
 def strict_majority(values: np.ndarray, default: int) -> np.ndarray:
     """Vectorised ``majority(values, default)`` over the last axis.
 
-    A value wins when it occurs strictly more than half the time — at most
-    one value can, so any max-count representative is the winner; otherwise
-    ``default`` is returned, matching :func:`repro.core.voting.majority`.
+    A value wins when it occurs strictly more than half the time.  Only the
+    median of the sorted axis can, so it is the one candidate counted;
+    otherwise ``default`` is returned, matching
+    :func:`repro.core.voting.majority`.  A size-1 axis is its own majority.
     """
     size = values.shape[-1]
-    counts = (values[..., :, None] == values[..., None, :]).sum(axis=-1)
-    best = counts.argmax(axis=-1)
-    best_count = np.take_along_axis(counts, best[..., None], axis=-1)[..., 0]
-    best_value = np.take_along_axis(values, best[..., None], axis=-1)[..., 0]
-    return np.where(2 * best_count > size, best_value, default)
+    if size == 1:
+        return values[..., 0]
+    candidate = np.sort(values, axis=-1)[..., size // 2]
+    count = (values == candidate[..., None]).sum(axis=-1)
+    return np.where(count > size // 2, candidate, default)
 
 
-def _guarded_increment(a: np.ndarray, c: int) -> np.ndarray:
-    """The paper's guarded increment: ``a + 1 mod c`` unless ``a = ∞``."""
-    return np.where(a == INFINITY, INFINITY, (a + 1) % c)
+def pick(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """One entry per position of ``index`` along ``table``'s next axis.
+
+    ``table`` has shape ``index.shape + (width, *rest)``; the result has
+    shape ``index.shape + rest`` and holds ``table[p][index[p]]`` for every
+    position ``p``.  One flat fancy-index gather (indices must lie in
+    ``[0, width)``).
+    """
+    width = table.shape[index.ndim]
+    rest = table.shape[index.ndim + 1 :]
+    flat = table.reshape((-1,) + rest)
+    rows = np.arange(0, flat.shape[0], width) + index.ravel()
+    return flat[rows].reshape(index.shape + rest)
 
 
 def vectorized_phase_king(
     own_a: np.ndarray,
     own_d: np.ndarray,
     values: np.ndarray,
-    eligible: np.ndarray,
-    own_support: np.ndarray,
-    high: "int | np.ndarray",
+    low: int,
+    high: int,
     king_value: np.ndarray,
     step: np.ndarray,
     c: int,
@@ -90,34 +118,44 @@ def vectorized_phase_king(
     All three instruction kinds are computed and selected per element by
     ``step = R mod 3`` (receivers may disagree on ``R`` before
     stabilisation).  The deterministic construction passes the absolute
-    thresholds (``high = N - F``, ``eligible`` from ``z_j > F``) and reads
-    the king's broadcast column; the sampled construction (Lemma 8) passes
-    ``high = ⌈2M/3⌉``, ``eligible`` from ``z_j > M/3`` and the directly
-    pulled king value.
+    thresholds (``high = N - F``, ``low = F``) and reads the king's
+    broadcast column; the sampled construction (Lemma 8) passes
+    ``high = ⌈2M/3⌉``, ``low = ⌊M/3⌋`` and the directly pulled king value.
 
-    Parameters are element-wise aligned arrays: ``values`` holds the
-    received/sampled ``a``-registers (last axis = senders/samples),
-    ``eligible`` marks the entries that qualify for the vote instruction's
-    ``min{j : z_j > threshold}``, and ``king_value`` the already-gathered
-    king register per receiver.
+    ``values`` holds the received/sampled ``a``-registers (last axis =
+    senders/samples, longer than ``low``), ``own_a``/``own_d`` the
+    receiver's registers and ``king_value`` the already-gathered king
+    register.  The support of the receiver's own ``a`` is its count in
+    ``values``.  A value qualifies for the vote instruction's
+    ``min{j : z_j > low}`` when it occurs more than ``low`` times, that is
+    when it equals the entry ``low`` places further on in the sorted axis.
     """
-    # I_{3l}: broadcast — keep a only with enough support, increment.
-    a_broadcast = _guarded_increment(np.where(own_support >= high, own_a, INFINITY), c)
+    own_support = (values == own_a[..., None]).sum(axis=-1)
+    supported = own_support >= high
+    unset = own_a == INFINITY
+    ordered = np.sort(values, axis=-1)
+    first = ordered[..., : values.shape[-1] - low]
+    qualifies = (first == ordered[..., low:]) & (first != INFINITY)
+    minimum = np.where(qualifies, first, _BIG).min(axis=-1)
+
+    # I_{3l}: broadcast — keep a only with enough support.
+    a_broadcast = np.where(supported, own_a, INFINITY)
 
     # I_{3l+1}: vote — d certifies support for a counter value; adopt the
-    # smallest qualifying value (reset when none qualifies), increment.
-    d_vote = ((own_a != INFINITY) & (own_support >= high)).astype(np.int64)
-    minimum = np.where(eligible, values, _BIG).min(axis=-1)
-    a_vote = _guarded_increment(np.where(minimum == _BIG, INFINITY, minimum), c)
+    # smallest qualifying value (reset when none qualifies).
+    a_vote = np.where(minimum == _BIG, INFINITY, minimum)
+    d_vote = (supported & ~unset).astype(np.int64)
 
     # I_{3l+2}: king — nodes without certified support adopt the king's
-    # value (∞ read as the cap C), then increment unguarded.
+    # value (∞ read as the cap C).  Never ∞, so the guard below leaves the
+    # paper's unguarded increment intact.
     adopted = np.where(king_value == INFINITY, c, np.minimum(c, king_value))
-    a_king = np.where((own_a == INFINITY) | (own_d == 0), adopted, own_a)
-    a_king = (a_king + 1) % c
+    a_king = np.where(unset | (own_d == 0), adopted, own_a)
 
-    new_a = np.where(step == 0, a_broadcast, np.where(step == 1, a_vote, a_king))
-    new_d = np.where(step == 0, own_d, np.where(step == 1, d_vote, 1))
+    # Every instruction ends with the guarded increment a + 1 mod c, ∞ kept.
+    chosen = np.choose(step, (a_broadcast, a_vote, a_king))
+    new_a = np.where(chosen == INFINITY, INFINITY, (chosen + 1) % c)
+    new_d = np.choose(step, (own_d, d_vote, 1))
     return new_a, new_d
 
 
@@ -204,9 +242,8 @@ class NaiveMajorityBatchKernel(_IntStateKernel):
         algorithm = self.algorithm
         counts = view.field_counts(0, algorithm.c)  # (B, receiver, value)
         best = counts.argmax(axis=-1)
-        best_count = np.take_along_axis(counts, best[..., None], axis=-1)[..., 0]
         fallback = view.field_min(0)
-        agreed = np.where(2 * best_count > algorithm.n, best, fallback)
+        agreed = np.where(2 * counts.max(axis=-1) > algorithm.n, best, fallback)
         return (((agreed + 1) % algorithm.c))[..., None]
 
 
@@ -289,7 +326,6 @@ class _BoostedCore:
         self.tau = interpretation.tau
         self.m = interpretation.m
         member_block = np.arange(layout.total_nodes) // layout.n
-        self.member_block = member_block
         self.periods = np.array(
             [interpretation.block_period(int(block)) for block in member_block],
             dtype=np.int64,
@@ -298,6 +334,7 @@ class _BoostedCore:
             [interpretation.base ** int(block) for block in member_block],
             dtype=np.int64,
         )
+        self._plans: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- state encoding (delegated to the shared codec) ------------------- #
 
@@ -315,68 +352,68 @@ class _BoostedCore:
 
     # -- the round -------------------------------------------------------- #
 
+    def _plan(self, receiver_index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat gather indices for one receiver set, built once and cached.
+
+        Indices into the ``(B, R·n, fields)`` view of the message matrix:
+        every receiver's own-block columns ``(R, block_size)`` and own
+        column ``(R,)``; plus the receivers' within-block indices for the
+        inner level.
+        """
+        key = receiver_index.tobytes()
+        plan = self._plans.get(key)
+        if plan is None:
+            rows = np.arange(receiver_index.size) * self.algorithm.n
+            block_start = rows + receiver_index // self.block_size * self.block_size
+            own_block = block_start[:, None] + np.arange(self.block_size)
+            plan = (own_block, rows + receiver_index, receiver_index % self.block_size)
+            self._plans[key] = plan
+        return plan
+
     def transition(self, messages: np.ndarray, receiver_index: np.ndarray) -> np.ndarray:
         algorithm = self.algorithm
         inner_fields = self.inner.fields
-        batch, receivers, members = messages.shape[0], messages.shape[1], messages.shape[2]
+        batch, receivers, members, fields = messages.shape
         n, f, c = algorithm.n, algorithm.f, algorithm.c
+        own_block, own, inner_index = self._plan(receiver_index)
+        flat = messages.reshape(batch, receivers * members, fields)
 
         # Step 1: the block-level copy of the inner algorithm, fed with the
         # receiver's own-block columns of the message matrix.
-        blocks = receiver_index // self.block_size
-        block_columns = blocks[:, None] * self.block_size + np.arange(self.block_size)
-        inner_messages = messages[
-            :, np.arange(receivers)[:, None], block_columns, :inner_fields
-        ]
-        new_inner = self.inner.transition(inner_messages, receiver_index % self.block_size)
+        new_inner = self.inner.transition(flat[:, own_block, :inner_fields], inner_index)
 
         # Step 2: the voted round counter R (Section 3.3) — decompose every
         # member's announced inner output into (r, y) and the leader pointer,
         # then take the two-level strict majorities.
         announced = self.inner.outputs(messages[..., :inner_fields])
-        reduced = announced % self.periods
-        round_component = reduced % self.tau
-        pointer = ((reduced // self.tau) // self.pointer_divisor) % self.m
-        pointer_blocks = pointer.reshape(batch, receivers, self.k, self.block_size)
-        block_votes = strict_majority(pointer_blocks, 0)
-        leader = strict_majority(block_votes, 0)
-        round_blocks = round_component.reshape(batch, receivers, self.k, self.block_size)
-        leader_rounds = np.take_along_axis(
-            round_blocks, leader[..., None, None], axis=2
-        )[..., 0, :]
-        round_value = strict_majority(leader_rounds, 0)
+        counter, round_component = np.divmod(announced % self.periods, self.tau)
+        pointer = (counter // self.pointer_divisor) % self.m
+        blocks = (batch, receivers, self.k, self.block_size)
+        leader = strict_majority(strict_majority(pointer.reshape(blocks), 0), 0)
+        round_value = strict_majority(pick(round_component.reshape(blocks), leader), 0)
 
         # Step 3: instruction set I_R of the phase king (Table 2) with the
         # absolute thresholds N - F and F; the king's register is read from
         # its broadcast column.
+        registers = flat[:, own, inner_fields:]
         a_received = messages[..., inner_fields]
-        own_a = np.take_along_axis(a_received, receiver_index[None, :, None], axis=2)[
-            ..., 0
-        ]
-        own_d = np.take_along_axis(
-            messages[..., inner_fields + 1], receiver_index[None, :, None], axis=2
-        )[..., 0]
-        support = (a_received[..., :, None] == a_received[..., None, :]).sum(axis=-1)
-        own_support = (a_received == own_a[..., None]).sum(axis=-1)
-
-        schedule = round_value % self.tau
-        king_value = np.take_along_axis(
-            a_received, (schedule // 3)[..., None], axis=2
-        )[..., 0]
+        # R is a voted round component, so already in [τ]: phase and step.
+        king, step = np.divmod(round_value, 3)
         new_a, new_d = vectorized_phase_king(
-            own_a=own_a,
-            own_d=own_d,
+            own_a=registers[..., 0],
+            own_d=registers[..., 1],
             values=a_received,
-            eligible=(a_received != INFINITY) & (support > f),
-            own_support=own_support,
+            low=f,
             high=n - f,
-            king_value=king_value,
-            step=schedule % 3,
+            king_value=pick(a_received, king),
+            step=step,
             c=c,
         )
-        return np.concatenate(
-            [new_inner, new_a[..., None], new_d[..., None]], axis=-1
-        )
+        out = np.empty((batch, receivers, self.fields), dtype=np.int64)
+        out[..., :inner_fields] = new_inner
+        out[..., inner_fields] = new_a
+        out[..., inner_fields + 1] = new_d
+        return out
 
 
 def build_boosted_core(algorithm: Any) -> "_TrivialCore | _BoostedCore | None":
@@ -413,6 +450,7 @@ class BoostedBatchKernel(BatchKernel):
         super().__init__(algorithm)
         self.core = core
         self.fields = core.fields
+        self.receivers = np.arange(algorithm.n)
 
     def encode(self, state: Any) -> tuple[int, ...]:
         return self.core.encode(state)
@@ -427,8 +465,7 @@ class BoostedBatchKernel(BatchKernel):
         return self.core.random_fields(rng, shape)
 
     def step(self, view, round_index, rng):
-        messages = view.received_stack()
-        return self.core.transition(messages, np.arange(self.algorithm.n))
+        return self.core.transition(view.received_stack(), self.receivers)
 
 
 def build_broadcast_kernel(algorithm: Any) -> BatchKernel | None:

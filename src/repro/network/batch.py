@@ -281,8 +281,9 @@ class BatchMessages:
       ``f`` faulty senders listed in ``faulty_idx`` (``None`` when the batch
       is fault-free),
 
-    and materialises a per-receiver matrix only on demand, one field at a
-    time.  Fault-free batches never copy at all (a broadcast view).
+    and materialises the per-receiver matrix only on demand, in one copy
+    and one scattered assignment of all forged columns.  Fault-free batches
+    never copy at all (a broadcast view).
     """
 
     def __init__(
@@ -305,28 +306,33 @@ class BatchMessages:
         """Number of nodes."""
         return self.states.shape[1]
 
-    def received(self, field: int) -> np.ndarray:
-        """The ``(B, receiver, sender)`` matrix of one received field.
-
-        Without faults this is a read-only broadcast view of the shared
-        sender states; with faults the faulty columns are patched with the
-        per-receiver forgeries.
-        """
-        batch, n = self.batch, self.n
-        base = np.broadcast_to(self.states[:, None, :, field], (batch, n, n))
-        if self.forged is None:
-            return base
-        matrix = base.copy()
-        assert self.faulty_idx is not None
-        np.put_along_axis(
-            matrix, self.faulty_idx[:, None, :], self.forged[:, :, :, field], axis=2
-        )
-        return matrix
+    def _delivered(self) -> np.ndarray:
+        """The unforged ``(B, receiver, sender, fields)`` messages (a view)."""
+        batch, n, fields = self.states.shape
+        return np.broadcast_to(self.states[:, None], (batch, n, n, fields))
 
     def received_stack(self) -> np.ndarray:
-        """All fields at once: ``(B, receiver, sender, fields)``."""
-        fields = self.states.shape[2]
-        return np.stack([self.received(i) for i in range(fields)], axis=-1)
+        """All fields at once: ``(B, receiver, sender, fields)``.
+
+        Without faults this is the read-only delivered view; with faults a
+        copy whose faulty columns hold the per-receiver forgeries.
+        """
+        matrix = self._delivered()
+        if self.forged is None:
+            return matrix
+        assert self.faulty_idx is not None
+        matrix = matrix.copy()
+        batch, n = self.batch, self.n
+        matrix[
+            np.arange(batch)[:, None, None],
+            np.arange(n)[None, :, None],
+            self.faulty_idx[:, None, :],
+        ] = self.forged
+        return matrix
+
+    def received(self, field: int) -> np.ndarray:
+        """The ``(B, receiver, sender)`` matrix of one received field."""
+        return self.received_stack()[..., field]
 
     def field_counts(self, field: int, size: int) -> np.ndarray:
         """Per-receiver tallies of one field over bins ``[0, size)``.
@@ -403,16 +409,8 @@ class PerturbedBatchMessages(BatchMessages):
         super().__init__(states, faulty_idx, forged)
         self.delivered = delivered
 
-    def received(self, field: int) -> np.ndarray:
-        matrix = self.delivered[:, :, :, field]
-        if self.forged is None:
-            return matrix
-        matrix = matrix.copy()
-        assert self.faulty_idx is not None
-        np.put_along_axis(
-            matrix, self.faulty_idx[:, None, :], self.forged[:, :, :, field], axis=2
-        )
-        return matrix
+    def _delivered(self) -> np.ndarray:
+        return self.delivered
 
     def field_counts(self, field: int, size: int) -> np.ndarray:
         batch, n = self.batch, self.n

@@ -5,7 +5,8 @@ for a whole batch of trials at once: the per-round pull plans become integer
 target arrays, the responses one gather over the ``(B, n, fields)`` state
 array (with faulty targets patched by the adversary kernel), and the sampled
 leader votes plus the sampled phase king of Lemmas 8/9 become the same
-pairwise-count majorities the broadcast boosted kernel uses.
+sort-median majorities, flat gathers and Table 2 instructions the broadcast
+boosted kernel uses.
 
 Randomness:
 
@@ -28,11 +29,11 @@ import numpy as np
 
 from repro.core.blocks import CounterInterpretation
 from repro.core.boosting import BoostedState
-from repro.core.phase_king import INFINITY
 from repro.counters.kernels import (
     _INT64_SAFE,
     BoostedStateCodec,
     build_boosted_core,
+    pick,
     strict_majority,
     vectorized_phase_king,
 )
@@ -74,6 +75,8 @@ class SampledBoostedBatchKernel(PullBatchKernel):
             (node_ids // self.block_size)[:, None] * self.block_size
             + np.arange(self.block_size)[None, :]
         )
+        #: Every node's index within its block, for the inner level.
+        self.inner_index = node_ids % self.block_size
         self.fixed_plans: np.ndarray | None = None
         if isinstance(algorithm, PseudoRandomBoostedCounter):
             # Corollary 5: the plans are fixed at construction and reused
@@ -146,9 +149,7 @@ class SampledBoostedBatchKernel(PullBatchKernel):
 
         # 1. Inner algorithm update from the own-block responses.
         own_block = responses[:, :, : self.block_size, :inner_fields]
-        new_inner = self.inner_core.transition(
-            own_block, np.arange(n) % self.block_size
-        )
+        new_inner = self.inner_core.transition(own_block, self.inner_index)
 
         # 2. Sampled leader-block voting (Lemma 9).
         offset = self.block_size
@@ -156,17 +157,13 @@ class SampledBoostedBatchKernel(PullBatchKernel):
             :, :, offset : offset + self.k * samples, :inner_fields
         ].reshape(batch, n, self.k, samples, inner_fields)
         announced = self.inner_core.outputs(block_responses)  # (B, n, k, M)
-        reduced = announced % self.block_periods[None, None, :, None]
-        round_component = reduced % self.tau
-        pointer = (
-            (reduced // self.tau) // self.block_pointer_divisor[None, None, :, None]
-        ) % self.m
+        counter, round_component = np.divmod(
+            announced % self.block_periods[None, None, :, None], self.tau
+        )
+        pointer = (counter // self.block_pointer_divisor[None, None, :, None]) % self.m
         block_votes = strict_majority(pointer, 0)  # (B, n, k)
         leader = strict_majority(block_votes, 0)  # (B, n)
-        leader_rounds = np.take_along_axis(
-            round_component, leader[..., None, None], axis=2
-        )[..., 0, :]
-        round_value = strict_majority(leader_rounds, 0)  # (B, n)
+        round_value = strict_majority(pick(round_component, leader), 0)  # (B, n)
 
         # 3. Sampled phase king (Lemma 8) — the king is pulled directly.
         offset += self.k * samples
@@ -174,26 +171,19 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         offset += samples
         kings_a = responses[:, :, offset : offset + self.kings, inner_fields]
 
-        own_a = states[:, :, inner_fields]
-        own_d = states[:, :, inner_fields + 1]
-        support = (phase_a[..., :, None] == phase_a[..., None, :]).sum(axis=-1)
-        own_support = (phase_a == own_a[..., None]).sum(axis=-1)
-
-        schedule = round_value % self.tau
-        king_value = np.take_along_axis(
-            kings_a, (schedule // 3)[..., None], axis=2
-        )[..., 0]
+        # R is a voted round component, so already in [τ]: phase and step.
+        king, step = np.divmod(round_value, 3)
         # Lemma 8: the same Table 2 instructions with the fractional
-        # thresholds 2M/3 and M/3, and the king pulled directly.
+        # thresholds 2M/3 and M/3 (a count above M/3 is one above ⌊M/3⌋),
+        # and the king pulled directly.
         new_a, new_d = vectorized_phase_king(
-            own_a=own_a,
-            own_d=own_d,
+            own_a=states[:, :, inner_fields],
+            own_d=states[:, :, inner_fields + 1],
             values=phase_a,
-            eligible=(phase_a != INFINITY) & (3 * support > samples),
-            own_support=own_support,
+            low=samples // 3,
             high=self.high_threshold,
-            king_value=king_value,
-            step=schedule % 3,
+            king_value=pick(kings_a, king),
+            step=step,
             c=c,
         )
         new_states = np.concatenate(
