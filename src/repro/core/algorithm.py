@@ -154,6 +154,22 @@ class SynchronousCountingAlgorithm(ABC):
         The node's new state.
         """
 
+    def transition_shared(
+        self, receivers: Sequence[int], messages: Sequence[State]
+    ) -> dict[int, State]:
+        """Apply ``g`` for every node in ``receivers`` to one shared vector.
+
+        Returns the new state of each receiver, keyed in ``receivers`` order,
+        when every one of them received exactly ``messages``.  In the
+        broadcast model that is every round in which no Byzantine sender
+        shows receivers different states.  The default calls
+        :meth:`transition` per receiver in ``receivers`` order, so randomised
+        algorithms draw in the same order as per-receiver calls; algorithms
+        whose work depends mostly on the vector override it to do that work
+        once.
+        """
+        return {node: self.transition(node, messages) for node in receivers}
+
     @abstractmethod
     def output(self, node: int, state: State) -> int:
         """The output function ``h(i, s) ∈ [c]``."""

@@ -31,9 +31,8 @@ from repro.core.errors import ParameterError
 from repro.core.parameters import BoostingParameters
 from repro.core.phase_king import (
     INFINITY,
-    PhaseKingRegisters,
+    PhaseKingRound,
     coerce_register_value,
-    phase_king_step,
 )
 from repro.core.voting import majority
 from repro.util.rng import ensure_rng
@@ -233,42 +232,65 @@ class BoostedCounter(SynchronousCountingAlgorithm):
             return a
         return 0
 
-    def transition(self, node: int, messages: Sequence[State]) -> BoostedState:
-        """One round of the boosted counter for node ``v = (i, j)``.
+    def transition(self, node: int, messages: Sequence[State]) -> State:
+        """One round of the boosted counter for node ``v = (i, j)``."""
+        return self.transition_shared((node,), messages)[node]
+
+    def transition_shared(
+        self, receivers: Sequence[int], messages: Sequence[State]
+    ) -> dict[int, State]:
+        """One round of the boosted counter for every node in ``receivers``.
 
         Mirrors the three steps listed in Section 3.5:
 
         1. update the state of the block algorithm ``A_i``,
         2. compute the voted round counter ``R``,
         3. execute instruction set ``I_R`` of the phase king protocol.
+
+        Every receiver reads the same vector, so the votes of step 2 and the
+        tallies of step 3 are computed once, and step 1 is one shared inner
+        round per block.  Only the phase king update of each receiver's own
+        registers is per receiver.  With a randomised inner counter the
+        receivers run one by one instead, so the inner draws keep the order
+        of ``receivers``.
         """
+        if len(receivers) > 1 and not self._inner.deterministic:
+            return super().transition_shared(receivers, messages)
+        coerced = self._coerce_vector(messages)
+        layout = self._layout
+        placed = [layout.split(node) for node in receivers]
+
+        # Step 1: update each block-level copy of the inner algorithm using
+        # the messages originating from that block.
+        indices_by_block: dict[int, list[int]] = {}
+        for block, index in placed:
+            indices_by_block.setdefault(block, []).append(index)
+        new_inner: dict[int, dict[int, State]] = {}
+        for block, indices in indices_by_block.items():
+            start = block * layout.n
+            inner_messages = [state.inner for state in coerced[start : start + layout.n]]
+            new_inner[block] = self._inner.transition_shared(indices, inner_messages)
+
+        # Step 2: derive the voted round counter R from the broadcast states.
+        round_value = self._compute_votes(coerced).round_value
+
+        # Step 3: run the phase king instruction set selected by R.
+        phase_king = PhaseKingRound(
+            [state.a for state in coerced], round_value, N=self.n, F=self.f, C=self.c
+        )
+        new_states: dict[int, State] = {}
+        for node, (block, index) in zip(receivers, placed):
+            own = coerced[node]
+            a, d = phase_king.apply(own.a, own.d)
+            new_states[node] = BoostedState(inner=new_inner[block][index], a=a, d=d)
+        return new_states
+
+    def _coerce_vector(self, messages: Sequence[State]) -> list[BoostedState]:
         if len(messages) != self.n:
             raise ParameterError(
                 f"expected {self.n} messages, got {len(messages)}"
             )
-        coerced = [self.coerce_message(message) for message in messages]
-        block, index = self._layout.split(node)
-
-        # Step 1: update the block-level copy of the inner algorithm using the
-        # messages originating from the node's own block.
-        inner_messages = [coerced[u].inner for u in self._layout.block_members(block)]
-        new_inner = self._inner.transition(index, inner_messages)
-
-        # Step 2: derive the voted round counter R from the broadcast states.
-        diagnostics = self._compute_votes(coerced)
-
-        # Step 3: run the phase king instruction set selected by R.
-        registers = PhaseKingRegisters(a=coerced[node].a, d=coerced[node].d)
-        received_a = [state.a for state in coerced]
-        updated = phase_king_step(
-            registers,
-            received_a,
-            round_value=diagnostics.round_value,
-            N=self.n,
-            F=self.f,
-            C=self.c,
-        )
-        return BoostedState(inner=new_inner, a=updated.a, d=updated.d)
+        return [self.coerce_message(message) for message in messages]
 
     # ------------------------------------------------------------------ #
     # Voting internals (exposed for tracing and experiments)
@@ -310,8 +332,7 @@ class BoostedCounter(SynchronousCountingAlgorithm):
         Useful for tracing executions (for example the Figure 1 experiment
         reads ``block_votes`` and ``leader`` directly from a running system).
         """
-        coerced = [self.coerce_message(message) for message in messages]
-        return self._compute_votes(coerced)
+        return self._compute_votes(self._coerce_vector(messages))
 
     def block_counter_value(self, node: int, state: State) -> tuple[int, int, int]:
         """Return ``(r, y, b)`` as announced by ``node`` in ``state``."""

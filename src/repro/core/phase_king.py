@@ -17,9 +17,12 @@ voted round counter; ``ℓ = ⌊R/3⌋ ∈ [F+2]`` identifies the *king* node of
 current phase.
 
 The functions in this module are pure: they take the register values and the
-vector of received ``a``-values and return the new register values.  They are
-used both inside :class:`repro.core.boosting.BoostedCounter` and on their own
-by the Table 2 experiment and the Lemma 4/5 tests.
+vector of received ``a``-values and return the new register values.  The
+``instruction_*`` functions spell out the three rows of Table 2 one by one;
+:class:`PhaseKingRound` is the form the protocol runs, with the received
+vector tallied once for all the nodes that read it.  It serves
+:class:`repro.core.boosting.BoostedCounter` and, through
+:func:`phase_king_step`, the Table 2 experiment and the Lemma 4/5 tests.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "instruction_broadcast",
     "instruction_vote",
     "instruction_king",
+    "PhaseKingRound",
     "phase_king_step",
     "schedule_length",
 ]
@@ -185,6 +189,74 @@ def instruction_king(
     return PhaseKingRegisters(a=(a + 1) % C, d=1)
 
 
+class PhaseKingRound:
+    """Instruction set ``I_R`` of Table 2, prepared for one received vector.
+
+    In the broadcast model every correct receiver reads the same ``a``-vector
+    and the same round counter ``R`` unless a Byzantine sender tells receivers
+    different things, so the tally ``z_j`` and the king's value are shared:
+    the constructor validates, coerces and tallies ``received`` once, and
+    :meth:`apply` maps one node's registers ``(a, d)`` to ``(a', d')``.
+
+    Parameters
+    ----------
+    received:
+        The vector of ``a``-values received from all ``N`` nodes this round
+        (arbitrary objects from Byzantine senders; they are coerced).
+    round_value:
+        The common round counter value ``R``; ``ℓ = ⌊R/3⌋`` is the phase's
+        king and ``R mod 3`` selects the instruction inside the phase.
+    """
+
+    def __init__(
+        self, received: Sequence[object], round_value: int, N: int, F: int, C: int
+    ) -> None:
+        if len(received) != N:
+            raise ParameterError(
+                f"expected {N} received values, got {len(received)}"
+            )
+        if C < 2:
+            raise ParameterError(f"counter size C must be at least 2, got {C}")
+        phase, step = divmod(round_value % schedule_length(F), 3)
+        coerced = [coerce_register_value(value, C) for value in received]
+        self._step = step
+        self._C = C
+        self._threshold = N - F
+        self._counts = Counter(coerced)
+        # The register values that do not depend on the node's own (a, d):
+        # I_{3ℓ+1} adopts min{j ∈ [C] : z_j > F} (∞ if there is none) and
+        # I_{3ℓ+2} adopts min{C, a[ℓ]}, both followed by the increment.
+        self._adopted = INFINITY
+        if step == 1:
+            supported = [
+                value
+                for value, count in self._counts.items()
+                if count > F and value != INFINITY
+            ]
+            if supported:
+                self._adopted = increment(min(supported), C)
+        elif step == 2:
+            if not 0 <= phase < N:
+                raise ParameterError(f"king index must be in [0, {N}), got {phase}")
+            king_value = coerced[phase]
+            king = C if king_value == INFINITY else min(C, king_value)
+            self._adopted = (king + 1) % C
+
+    def apply(self, a: int, d: int) -> tuple[int, int]:
+        """Return the registers ``(a', d')`` of a node that held ``(a, d)``."""
+        own_support = self._counts.get(a, 0)
+        if self._step == 0:
+            if own_support < self._threshold:
+                a = INFINITY
+            return increment(a, self._C), d
+        if self._step == 1:
+            d = 1 if (a != INFINITY and own_support >= self._threshold) else 0
+            return self._adopted, d
+        if a == INFINITY or d == 0:
+            return self._adopted, 1
+        return (a + 1) % self._C, 1
+
+
 def phase_king_step(
     registers: PhaseKingRegisters,
     received: Sequence[object],
@@ -195,29 +267,9 @@ def phase_king_step(
 ) -> PhaseKingRegisters:
     """Execute instruction set ``I_R`` for ``R = round_value ∈ [τ]``.
 
-    Parameters
-    ----------
-    registers:
-        The node's current ``(a, d)`` registers.
-    received:
-        The vector of ``a``-values received from all ``N`` nodes this round
-        (arbitrary objects from Byzantine senders; they are coerced).
-    round_value:
-        The common round counter value ``R``; ``ℓ = ⌊R/3⌋`` is the phase's
-        king and ``R mod 3`` selects the instruction inside the phase.
+    One node's step of :class:`PhaseKingRound`; the parameters are the same.
     """
-    if len(received) != N:
-        raise ParameterError(
-            f"expected {N} received values, got {len(received)}"
-        )
-    if C < 2:
-        raise ParameterError(f"counter size C must be at least 2, got {C}")
-    tau = schedule_length(F)
-    R = round_value % tau
-    coerced = [coerce_register_value(value, C) for value in received]
-    phase, step = divmod(R, 3)
-    if step == 0:
-        return instruction_broadcast(registers, coerced, N, F, C)
-    if step == 1:
-        return instruction_vote(registers, coerced, N, F, C)
-    return instruction_king(registers, coerced, king=phase, N=N, F=F, C=C)
+    a, d = PhaseKingRound(received, round_value, N, F, C).apply(
+        registers.a, registers.d
+    )
+    return PhaseKingRegisters(a=a, d=d)

@@ -86,40 +86,53 @@ def run_round(
 
     ``states`` maps every *correct* node to its current state.  Faulty nodes
     have no tracked state; their messages are produced by the adversary,
-    potentially differently for every receiver.
+    potentially differently for every receiver.  When every receiver ends up
+    with the same vector, the round is one
+    :meth:`~repro.core.algorithm.SynchronousCountingAlgorithm.transition_shared`
+    call; otherwise each receiver runs its own ``transition``.
     """
     faulty = adversary.faulty
     adversary.on_round_start(round_index, states, algorithm, rng)
-    new_states: dict[int, State] = {}
 
     # Correct senders broadcast the same state to every receiver, so the
-    # shared part of the message vector can be built once per round; only the
-    # entries of faulty senders differ per receiver.  Without faults the whole
-    # vector is shared — as an immutable tuple, so a transition that mutated
-    # its input would fail loudly instead of corrupting sibling receivers —
-    # turning the former O(n²) per-round vector construction into O(n).
+    # shared part of the message vector is built once per round; only the
+    # entries of faulty senders can differ per receiver.  The vector is an
+    # immutable tuple, so a transition that mutated its input would fail
+    # loudly instead of corrupting sibling receivers.
     base: tuple[State, ...] = tuple(
         None if sender in faulty else states[sender] for sender in range(algorithm.n)
     )
-
     if not faulty:
-        for receiver in states:
-            new_states[receiver] = algorithm.transition(receiver, base)
-        return new_states
+        return algorithm.transition_shared(list(states), base)
 
+    # Forge every receiver's row first, receiver-major and sender-minor, so
+    # the adversary draws in the same order whichever path runs below.
     faulty_senders = sorted(faulty)
-    # One message buffer is reused across receivers: only the faulty entries
-    # differ per receiver and every one of them is overwritten by the forge
-    # below before the transition reads the list.  Transitions receive the
-    # buffer read-only (they coerce/copy what they keep), so this saves one
-    # O(n) list allocation per receiver per round.
-    messages = list(base)
     coerce = algorithm.coerce_message
     forge = adversary.forge
-    for receiver in states:
-        for sender in faulty_senders:
-            forged = forge(round_index, sender, receiver, states, algorithm, rng)
-            messages[sender] = coerce(forged)
+    rows = [
+        [
+            coerce(forge(round_index, sender, receiver, states, algorithm, rng))
+            for sender in faulty_senders
+        ]
+        for receiver in states
+    ]
+    messages = list(base)
+    shared = rows[0] if rows else []
+    if all(row == shared for row in rows):
+        # Every receiver sees the same vector (crash, fixed-state, ...).
+        for sender, message in zip(faulty_senders, shared):
+            messages[sender] = message
+        return algorithm.transition_shared(list(states), tuple(messages))
+
+    # One message buffer is reused across receivers: only the faulty entries
+    # differ per receiver and every one of them is overwritten before the
+    # transition reads the list.  Transitions receive the buffer read-only
+    # (they coerce/copy what they keep).
+    new_states: dict[int, State] = {}
+    for receiver, row in zip(states, rows):
+        for sender, message in zip(faulty_senders, row):
+            messages[sender] = message
         new_states[receiver] = algorithm.transition(receiver, messages)
     return new_states
 

@@ -155,6 +155,13 @@ class TestTransition:
         assert 0 <= diagnostics.leader < counter.interpretation.m
         assert 0 <= diagnostics.round_value < counter.tau
 
+    def test_vote_diagnostics_reject_a_wrong_length_vector(self, figure2_level1_counter):
+        states = [figure2_level1_counter.default_state()] * 5
+        with pytest.raises(ParameterError, match=r"^expected 12 messages, got 5$"):
+            figure2_level1_counter.vote_diagnostics(states)
+        with pytest.raises(ParameterError, match=r"^expected 12 messages, got 5$"):
+            figure2_level1_counter.transition(0, states)
+
     def test_vote_diagnostics_follow_inner_counters(self):
         counter = make_figure2_counter()
         interpretation = counter.interpretation

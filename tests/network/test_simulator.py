@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.errors import SimulationError
+from repro.core.recursion import figure2_counter
 from repro.counters.naive import NaiveMajorityCounter
 from repro.counters.trivial import TrivialCounter
 from repro.network.adversary import (
     CrashAdversary,
+    FixedStateAdversary,
+    MimicAdversary,
     NoAdversary,
     RandomStateAdversary,
 )
@@ -342,3 +347,96 @@ class TestStopAfterAgreementWraparound:
         )
         assert trace.num_rounds == 6
         assert trace.metadata["agreement_streak"] == 6
+
+
+def _per_receiver_round(algorithm, states, adversary, round_index, rng):
+    """The reference round: every receiver's vector built and run on its own."""
+    adversary.on_round_start(round_index, states, algorithm, rng)
+    new_states = {}
+    for receiver in states:
+        messages = [
+            None if sender in adversary.faulty else states[sender]
+            for sender in range(algorithm.n)
+        ]
+        for sender in sorted(adversary.faulty):
+            forged = adversary.forge(round_index, sender, receiver, states, algorithm, rng)
+            messages[sender] = algorithm.coerce_message(forged)
+        new_states[receiver] = algorithm.transition(receiver, messages)
+    return new_states
+
+
+class TestRunRoundSharedPath:
+    """Rounds in which every receiver reads one vector take ``transition_shared``;
+    either way the new states and the adversary's RNG stream are the reference's."""
+
+    FAULTY = (0, 5, 11)
+
+    @pytest.mark.parametrize(
+        "make_adversary, shared",
+        [
+            (CrashAdversary, True),
+            (lambda faulty: FixedStateAdversary(faulty, state=(7, 1, 1)), True),
+            (MimicAdversary, False),
+            (RandomStateAdversary, False),
+        ],
+        ids=["crash", "fixed-state", "mimic", "random-state"],
+    )
+    def test_matches_the_per_receiver_reference(self, make_adversary, shared, monkeypatch):
+        import random
+
+        algorithm = figure2_counter(levels=1, c=2)
+        start_rng = random.Random(3)
+        correct = [node for node in range(algorithm.n) if node not in self.FAULTY]
+        start_rng.shuffle(correct)  # states need not be in node order (churn rejoins)
+        states = {node: algorithm.random_state(start_rng) for node in correct}
+
+        widths = []
+        original = algorithm.transition_shared
+
+        def spy(receivers, messages):
+            widths.append(len(receivers))
+            return original(receivers, messages)
+
+        monkeypatch.setattr(algorithm, "transition_shared", spy)
+        adversary = make_adversary(self.FAULTY)
+        reference_adversary = make_adversary(self.FAULTY)
+        rng, reference_rng = random.Random(11), random.Random(11)
+        reference_states = states
+        for round_index in range(6):
+            states = run_round(algorithm, states, adversary, round_index, rng)
+            reference_states = _per_receiver_round(
+                algorithm, reference_states, reference_adversary, round_index, reference_rng
+            )
+            assert states == reference_states
+            assert list(states) == list(reference_states)
+            assert rng.getstate() == reference_rng.getstate()
+        assert (len(correct) in widths) is shared
+
+    def test_scalar_churn_campaign_matches_per_receiver_transitions(self, monkeypatch):
+        from repro.campaigns.executor import SerialExecutor
+        from repro.campaigns.spec import AlgorithmSpec, CampaignSpec
+        from repro.core.boosting import BoostedCounter
+
+        spec = CampaignSpec(
+            name="shared-churn",
+            algorithms=(AlgorithmSpec.create("figure2", {"levels": 1}),),
+            adversaries=("none",),
+            runs_per_setting=3,
+            seed=5,
+            max_rounds=6000,
+            stop_after_agreement=16,
+            fault_schedule="churn",
+        )
+        shared = [result.to_json() for result in SerialExecutor().run(spec.expand())]
+
+        one_at_a_time = BoostedCounter.transition_shared
+
+        def per_receiver(self, receivers, messages):
+            return {
+                node: one_at_a_time(self, (node,), messages)[node] for node in receivers
+            }
+
+        monkeypatch.setattr(BoostedCounter, "transition_shared", per_receiver)
+        looped = [result.to_json() for result in SerialExecutor().run(spec.expand())]
+        assert shared == looped
+        assert all(json.loads(line)["recovered"] for line in shared)
