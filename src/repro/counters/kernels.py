@@ -24,16 +24,28 @@ integer encoding for every counter the planner instantiates.  Constructions
 whose counter periods would overflow int64 (Corollary 1 beyond ``f = 4``)
 report no kernel and fall back to the scalar engine.
 
+A boosted level transitions ``G`` message vectors, each read by ``R``
+receivers: the receiver layout ``(G, R)``.  When every receiver reads one
+vector — fault-free rounds, and ``crash``/``fixed-state`` rounds whose
+forgeries the view folds into the shared states — the kernel runs the
+shared layout ``(1, n)``, so the leader vote and the phase king tallies run
+once per trial instead of once per receiver; only each receiver's own
+``(a, d)`` update stays per receiver.  Otherwise it runs the per-receiver
+layout ``(n, 1)`` on the receiver matrix.  Inner levels recurse with one
+vector per block and receiver run, so the shared layout stays shared all
+the way down.
+
 A boosted round is kept to few NumPy calls, because a chunk is often only a
 few dozen trials wide and per-call overhead then dominates:
 
-* the message matrix arrives in one piece — the view scatters every forged
-  column in a single indexed assignment
+* the message matrix arrives in one piece — one shared vector
+  (:meth:`~repro.network.batch.BatchMessages.shared_vector`), or the view
+  scatters every forged column in a single indexed assignment
   (:meth:`~repro.network.batch.BatchMessages.received_stack`);
-* every gather is plain fancy indexing on flat index arrays — own-block
+* every gather is plain fancy indexing on flat index arrays — inner-vector
   columns and own registers through indices each level builds once per
-  receiver set and caches, the leader's round block and the king's column
-  through :func:`pick`;
+  receiver layout and caches, the leader's round block and the king's
+  column through :func:`pick`;
 * majorities are sort-median votes (:func:`strict_majority`: the median of
   the sorted axis is the only possible strict-majority value, counted
   once), and the vote instruction's ``z_j > F`` test reads runs of the
@@ -298,20 +310,26 @@ class _TrivialCore:
     def random_fields(self, rng, shape):
         return rng.integers(0, self.algorithm.c, size=shape + (1,), dtype=np.int64)
 
-    def transition(self, messages: np.ndarray, receiver_index: np.ndarray) -> np.ndarray:
-        # One node per block: the single message is the node's own state.
-        return ((messages[..., 0, 0] + 1) % self.algorithm.c)[..., None]
+    def transition(self, messages: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+        # One node per block: each vector is the single node's own state,
+        # read by that node alone.
+        return (messages + 1) % self.algorithm.c
 
 
 class _BoostedCore:
     """One Theorem 1 level: inner blocks, leader votes, phase king.
 
-    ``transition`` consumes per-receiver message matrices of shape
-    ``(B, R, n, fields)`` — receiver slot ``r`` holds the coerced states this
-    receiver read from all ``n`` members of the *current* level — plus the
-    receivers' within-level node indices ``(R,)``.  Nested levels reuse the
-    same interface on the sliced own-block columns, mirroring the recursion
-    of :meth:`repro.core.boosting.BoostedCounter.transition` exactly.
+    ``transition`` consumes ``G`` message vectors of shape
+    ``(B, G, n, fields)`` — vector ``g`` holds the coerced states of all
+    ``n`` members of the *current* level — and a receiver layout ``(G, R)``:
+    the within-level node indices of the ``R`` receivers that read vector
+    ``g``.  The per-receiver layout is ``(n, 1)`` (one vector per receiver);
+    the shared layout is ``(1, n)`` (every receiver reads one vector).  The
+    leader vote and the phase king tallies run once per vector; only each
+    receiver's own ``(a, d)`` update is per receiver.  Nested levels reuse
+    the interface: every vector's blocks that its receivers sit in become
+    inner vectors, mirroring
+    :meth:`repro.core.boosting.BoostedCounter.transition_shared`.
     """
 
     def __init__(self, algorithm: BoostedCounter, inner: "_TrivialCore | _BoostedCore"):
@@ -334,7 +352,9 @@ class _BoostedCore:
             [interpretation.base ** int(block) for block in member_block],
             dtype=np.int64,
         )
-        self._plans: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._plans: dict[
+            tuple[tuple[int, ...], bytes], tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = {}
 
     # -- state encoding (delegated to the shared codec) ------------------- #
 
@@ -352,49 +372,59 @@ class _BoostedCore:
 
     # -- the round -------------------------------------------------------- #
 
-    def _plan(self, receiver_index: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flat gather indices for one receiver set, built once and cached.
+    def _plan(self, receivers: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Flat gather indices for one receiver layout, built once and cached.
 
-        Indices into the ``(B, R·n, fields)`` view of the message matrix:
-        every receiver's own-block columns ``(R, block_size)`` and own
-        column ``(R,)``; plus the receivers' within-block indices for the
-        inner level.
+        Indices into the ``(B, G·n, fields)`` view of the messages: the
+        member columns of every inner vector ``(G·R / run, block_size)`` and
+        every receiver's own column ``(G, R)``; plus the inner layout
+        ``(G·R / run, run)``.  Each run of ``run = min(R, block_size)``
+        consecutive receivers of a vector shares a block and so reads one
+        inner vector.  The key includes the shape: ``(n, 1)`` and ``(1, n)``
+        layouts have the same bytes.
         """
-        key = receiver_index.tobytes()
+        key = (receivers.shape, receivers.tobytes())
         plan = self._plans.get(key)
         if plan is None:
-            rows = np.arange(receiver_index.size) * self.algorithm.n
-            block_start = rows + receiver_index // self.block_size * self.block_size
-            own_block = block_start[:, None] + np.arange(self.block_size)
-            plan = (own_block, rows + receiver_index, receiver_index % self.block_size)
+            vectors, count = receivers.shape
+            own = np.arange(vectors)[:, None] * self.algorithm.n + receivers
+            runs = own.reshape(-1, min(count, self.block_size))
+            block_start = runs // self.block_size * self.block_size
+            assert (block_start == block_start[:, :1]).all(), "a run spans two blocks"
+            inner_columns = block_start[:, :1] + np.arange(self.block_size)
+            plan = (inner_columns, own, runs - block_start)
             self._plans[key] = plan
         return plan
 
-    def transition(self, messages: np.ndarray, receiver_index: np.ndarray) -> np.ndarray:
+    def transition(self, messages: np.ndarray, receivers: np.ndarray) -> np.ndarray:
         algorithm = self.algorithm
         inner_fields = self.inner.fields
-        batch, receivers, members, fields = messages.shape
+        batch, vectors, members, fields = messages.shape
+        count = receivers.shape[1]
         n, f, c = algorithm.n, algorithm.f, algorithm.c
-        own_block, own, inner_index = self._plan(receiver_index)
-        flat = messages.reshape(batch, receivers * members, fields)
+        inner_columns, own, inner_receivers = self._plan(receivers)
+        flat = messages.reshape(batch, vectors * members, fields)
 
-        # Step 1: the block-level copy of the inner algorithm, fed with the
-        # receiver's own-block columns of the message matrix.
-        new_inner = self.inner.transition(flat[:, own_block, :inner_fields], inner_index)
+        # Step 1: the block-level copies of the inner algorithm, each fed
+        # with one vector's block columns and read by its receivers there.
+        new_inner = self.inner.transition(
+            flat[:, inner_columns, :inner_fields], inner_receivers
+        )
 
-        # Step 2: the voted round counter R (Section 3.3) — decompose every
-        # member's announced inner output into (r, y) and the leader pointer,
-        # then take the two-level strict majorities.
+        # Step 2: the voted round counter R (Section 3.3), once per vector —
+        # decompose every member's announced inner output into (r, y) and
+        # the leader pointer, then take the two-level strict majorities.
         announced = self.inner.outputs(messages[..., :inner_fields])
         counter, round_component = np.divmod(announced % self.periods, self.tau)
         pointer = (counter // self.pointer_divisor) % self.m
-        blocks = (batch, receivers, self.k, self.block_size)
+        blocks = (batch, vectors, self.k, self.block_size)
         leader = strict_majority(strict_majority(pointer.reshape(blocks), 0), 0)
         round_value = strict_majority(pick(round_component.reshape(blocks), leader), 0)
 
         # Step 3: instruction set I_R of the phase king (Table 2) with the
         # absolute thresholds N - F and F; the king's register is read from
-        # its broadcast column.
+        # its broadcast column.  Tallies run per vector, the register update
+        # per receiver.
         registers = flat[:, own, inner_fields:]
         a_received = messages[..., inner_fields]
         # R is a voted round component, so already in [τ]: phase and step.
@@ -402,15 +432,15 @@ class _BoostedCore:
         new_a, new_d = vectorized_phase_king(
             own_a=registers[..., 0],
             own_d=registers[..., 1],
-            values=a_received,
+            values=a_received[:, :, None, :],
             low=f,
             high=n - f,
-            king_value=pick(a_received, king),
-            step=step,
+            king_value=pick(a_received, king)[..., None],
+            step=step[..., None],
             c=c,
         )
-        out = np.empty((batch, receivers, self.fields), dtype=np.int64)
-        out[..., :inner_fields] = new_inner
+        out = np.empty((batch, vectors, count, self.fields), dtype=np.int64)
+        out[..., :inner_fields] = new_inner.reshape(batch, vectors, count, inner_fields)
         out[..., inner_fields] = new_a
         out[..., inner_fields + 1] = new_d
         return out
@@ -450,7 +480,8 @@ class BoostedBatchKernel(BatchKernel):
         super().__init__(algorithm)
         self.core = core
         self.fields = core.fields
-        self.receivers = np.arange(algorithm.n)
+        self.shared_layout = np.arange(algorithm.n)[None, :]
+        self.receiver_layout = np.arange(algorithm.n)[:, None]
 
     def encode(self, state: Any) -> tuple[int, ...]:
         return self.core.encode(state)
@@ -465,7 +496,10 @@ class BoostedBatchKernel(BatchKernel):
         return self.core.random_fields(rng, shape)
 
     def step(self, view, round_index, rng):
-        return self.core.transition(view.received_stack(), self.receivers)
+        shared = view.shared_vector()
+        if shared is not None:
+            return self.core.transition(shared[:, None], self.shared_layout)[:, 0]
+        return self.core.transition(view.received_stack(), self.receiver_layout)[:, :, 0]
 
 
 def build_broadcast_kernel(algorithm: Any) -> BatchKernel | None:

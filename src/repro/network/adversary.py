@@ -25,7 +25,7 @@ from typing import Any, Iterable, Mapping, Sequence
 
 from repro.core.algorithm import State, SynchronousCountingAlgorithm
 from repro.core.boosting import BoostedState
-from repro.core.errors import SimulationError
+from repro.core.errors import ParameterError, SimulationError
 from repro.core.phase_king import INFINITY
 from repro.semantics import ADVERSARY_SEMANTICS, strategy_names
 from repro.util.rng import ensure_rng
@@ -39,6 +39,7 @@ __all__ = [
     "SplitStateAdversary",
     "MimicAdversary",
     "PhaseKingSkewAdversary",
+    "check_skew_offset",
     "AdaptiveSplitAdversary",
     "build_adversary",
     "random_faulty_set",
@@ -288,6 +289,20 @@ class MimicAdversary(Adversary):
         return states[victim]
 
 
+def check_skew_offset(offset: Any) -> int:
+    """The phase-king-skew ``offset``, which must be an ``int`` (not a ``bool``).
+
+    The one check behind both the scalar :class:`PhaseKingSkewAdversary`
+    and its batch kernel, so neither engine coerces or rejects on its own.
+    """
+    if isinstance(offset, bool) or not isinstance(offset, int):
+        raise ParameterError(
+            f"adversary strategy 'phase-king-skew' needs an integer offset, "
+            f"got {offset!r}"
+        )
+    return offset
+
+
 class PhaseKingSkewAdversary(Adversary):
     """Targeted attack on the boosted counter's phase king registers.
 
@@ -301,7 +316,7 @@ class PhaseKingSkewAdversary(Adversary):
 
     def __init__(self, faulty: Iterable[int], offset: int = 1) -> None:
         super().__init__(faulty)
-        self._offset = offset
+        self._offset = check_skew_offset(offset)
         self._round_index = -1
         self._correct: list[int] = []
 

@@ -22,10 +22,12 @@ The moving parts:
   dispatches on the algorithm instance.
 * :class:`AdversaryBatchKernel` — vectorised forgery: given broadcastable
   ``(sender, receiver)`` index arrays, produce the coerced field vectors the
-  Byzantine senders deliver.  Forgeries enter the round as per-receiver
-  *column patches* on the shared broadcast matrix
+  Byzantine senders deliver.  Forgeries that differ per receiver enter the
+  round as *column patches* on the shared broadcast matrix
   (:meth:`BatchMessages.received`), so the fault-free bulk of the message
-  matrix is never copied per receiver.
+  matrix is never copied per receiver; forgeries that are the same for every
+  receiver are folded into the shared vector itself
+  (:meth:`BatchMessages.folded`).
 * :func:`run_batch_trials` — the batched round loop: per-trial agreement and
   streak tracking as boolean masks, finished trials frozen (compacted out of
   the live arrays) while the rest of the batch continues, and finally one
@@ -70,7 +72,7 @@ import numpy as np
 
 from repro.core.errors import SimulationError
 from repro.core.phase_king import INFINITY as _INFINITY
-from repro.network.adversary import NoAdversary, build_adversary
+from repro.network.adversary import NoAdversary, build_adversary, check_skew_offset
 from repro.network.engine import derive_streams, resolve_initial_states
 from repro.semantics import (
     active_strategy_names,
@@ -278,12 +280,16 @@ class BatchMessages:
 
     * ``states`` — the shared ``(B, n, fields)`` sender states, and
     * ``forged`` — ``(B, n, f, fields)`` per-receiver forgeries for the
-      ``f`` faulty senders listed in ``faulty_idx`` (``None`` when the batch
-      is fault-free),
+      ``f`` faulty senders listed in ``faulty_idx`` (``None`` when every
+      receiver reads ``states``),
 
     and materialises the per-receiver matrix only on demand, in one copy
-    and one scattered assignment of all forged columns.  Fault-free batches
-    never copy at all (a broadcast view).
+    and one scattered assignment of all forged columns.  Views built by
+    :meth:`folded` patch forgeries that are the same for every receiver
+    (crash, fixed-state) into one copy of ``states`` instead, so the round
+    has one vector (:meth:`shared_vector`): kernels read it in the shared
+    ``(G, R) = (1, n)`` layout rather than the per-receiver ``(n, 1)`` one,
+    and never copy the matrix at all.
     """
 
     def __init__(
@@ -295,6 +301,28 @@ class BatchMessages:
         self.states = states
         self.faulty_idx = faulty_idx
         self.forged = forged
+
+    @classmethod
+    def folded(
+        cls,
+        states: np.ndarray,
+        faulty_idx: np.ndarray | None,
+        forged: np.ndarray | None,
+    ) -> "BatchMessages":
+        """The view, with receiver-independent forgeries folded into ``states``.
+
+        When every receiver got the same forgery from each faulty sender,
+        the round is one shared vector: the forged rows are patched into a
+        copy of ``states`` and ``forged`` is dropped.  Faulty receivers read
+        the forgery in their own column either way, so every receiver's
+        matrix — own registers included — is unchanged.
+        """
+        if forged is not None and (forged == forged[:, :1]).all():
+            assert faulty_idx is not None
+            states = states.copy()
+            states[np.arange(states.shape[0])[:, None], faulty_idx] = forged[:, 0]
+            forged = None
+        return cls(states, faulty_idx, forged)
 
     @property
     def batch(self) -> int:
@@ -310,6 +338,14 @@ class BatchMessages:
         """The unforged ``(B, receiver, sender, fields)`` messages (a view)."""
         batch, n, fields = self.states.shape
         return np.broadcast_to(self.states[:, None], (batch, n, n, fields))
+
+    def shared_vector(self) -> np.ndarray | None:
+        """The ``(B, n, fields)`` states every receiver reads, or ``None``.
+
+        ``None`` when receivers read different vectors, so kernels must use
+        :meth:`received_stack`.
+        """
+        return self.states if self.forged is None else None
 
     def received_stack(self) -> np.ndarray:
         """All fields at once: ``(B, receiver, sender, fields)``.
@@ -411,6 +447,10 @@ class PerturbedBatchMessages(BatchMessages):
 
     def _delivered(self) -> np.ndarray:
         return self.delivered
+
+    def shared_vector(self) -> np.ndarray | None:
+        # Per-link staleness gives every receiver its own vector.
+        return None
 
     def field_counts(self, field: int, size: int) -> np.ndarray:
         batch, n = self.batch, self.n
@@ -730,7 +770,7 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
 
     def __init__(self, kernel: _KernelBase, offset: int = 1) -> None:
         super().__init__(kernel)
-        self._offset = int(offset)
+        self._offset = check_skew_offset(offset)
         self._layout = _boosted_layout(kernel)
 
     def forge(
@@ -1281,7 +1321,7 @@ def _run_chunk(
                 delivered = _delayed_deliveries(history, loss, delay, rng)
                 view = PerturbedBatchMessages(states, faulty_idx, forged, delivered)
             else:
-                view = BatchMessages(states, faulty_idx, forged)
+                view = BatchMessages.folded(states, faulty_idx, forged)
             assert isinstance(kernel, BatchKernel)
             states = kernel.step(view, round_index, rng)
 

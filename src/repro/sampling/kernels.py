@@ -149,7 +149,7 @@ class SampledBoostedBatchKernel(PullBatchKernel):
 
         # 1. Inner algorithm update from the own-block responses.
         own_block = responses[:, :, : self.block_size, :inner_fields]
-        new_inner = self.inner_core.transition(own_block, self.inner_index)
+        new_inner = self.inner_core.transition(own_block, self.inner_index[:, None])[:, :, 0]
 
         # 2. Sampled leader-block voting (Lemma 9).
         offset = self.block_size

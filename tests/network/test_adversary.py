@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro.core.boosting import BoostedState
-from repro.core.errors import SimulationError
+from repro.core.errors import ParameterError, SimulationError
 from repro.core.phase_king import INFINITY
 from repro.counters.trivial import TrivialCounter
 from repro.counters.naive import NaiveMajorityCounter
@@ -133,6 +133,25 @@ class TestPhaseKingSkew:
         adversary = PhaseKingSkewAdversary([3])
         forged = adversary.forge(sender=3, receiver=0, **forge_args(counter, {0: 1, 1: 2, 2: 0}))
         assert counter.is_valid_state(forged)
+
+    @pytest.mark.parametrize("offset", [1.5, "x", True, None])
+    def test_offset_must_be_an_int_on_both_engines(self, offset):
+        from repro.network.batch import build_adversary_kernel, build_batch_kernel
+        from repro.semantics import build_algorithm
+
+        kernel = build_batch_kernel(build_algorithm("corollary1", f=1))
+        builders = (
+            lambda: build_adversary("phase-king-skew", [1], offset=offset),
+            lambda: build_adversary_kernel("phase-king-skew", kernel, {"offset": offset}),
+        )
+        for build in builders:
+            with pytest.raises(ParameterError) as excinfo:
+                build()
+            assert "phase-king-skew" in str(excinfo.value)
+            assert repr(offset) in str(excinfo.value)
+
+    def test_integer_offsets_are_kept(self):
+        assert PhaseKingSkewAdversary([1], offset=-1)._offset == -1
 
 
 class TestAdaptiveSplit:
