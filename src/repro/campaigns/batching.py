@@ -4,9 +4,10 @@
 ``engine="auto" | "batch"`` knob of :class:`~repro.campaigns.spec.CampaignSpec`
 and the :class:`~repro.scenarios.scenario.Scenario` facade.  It partitions the
 expanded :class:`~repro.campaigns.spec.RunSpec` list into *groups* of trials
-that share one configuration — same declarative algorithm, same adversary
-strategy and parameters, same fault count and simulation envelope, differing
-only in seed and faulty set — and runs each kernel-covered group through the
+that share one configuration — same algorithm as its batch kernel reads it,
+same adversary strategy and parameters, same fault count and simulation
+envelope, differing only in seed and faulty set — and runs each
+kernel-covered group through the
 vectorised batch engine (:func:`repro.network.batch.run_batch_trials`) instead
 of one scalar simulation per run.  Everything else (pre-built algorithm
 instances, strategies without a kernel, algorithms whose parameters overflow
@@ -46,9 +47,9 @@ from repro.campaigns.executor import (
     execute_run,
     resolve_observer,
 )
-from repro.campaigns.results import RunResult, reduce_run
+from repro.campaigns.results import RunResult, reduce_run, reduced_facts
 from repro.campaigns.spec import AlgorithmSpec, RunSpec
-from repro.core.errors import ParameterError
+from repro.core.errors import ParameterError, SimulationError
 from repro.network.batch import (
     BatchRunSummary,
     BatchTrial,
@@ -58,19 +59,23 @@ from repro.network.batch import (
 )
 from repro.obs.events import BatchGroupScheduled, FallbackTaken
 from repro.obs.observer import NULL_OBSERVER, Observer
+from repro.semantics import ALGORITHM_SEMANTICS
 
 __all__ = ["BatchExecutor", "group_runs", "reduce_summary"]
 
 
-def _group_label(spec: RunSpec, algorithm=None) -> str:
+def _group_label(spec: RunSpec, algorithm=None, cells: int = 1) -> str:
     """Human-readable identity of one batchable group.
 
     Names everything a user needs to recognise the offending grid
-    coordinate — algorithm (with parameters), adversary strategy, and the
-    ``n``/``f`` envelope — so fallback reasons and forced-batch errors never
-    point at a bare strategy name.
+    coordinate — algorithm (with parameters), adversary strategy, the number
+    of campaign cells packed into the group, and the ``n``/``f`` envelope —
+    so fallback reasons and forced-batch errors never point at a bare
+    strategy name.
     """
     label = f"{spec.algorithm_label()} x {spec.adversary_label()}"
+    if cells > 1:
+        label += f" [+{cells - 1} packed cell(s)]"
     if algorithm is not None:
         label += f" (n={algorithm.n}, f={len(spec.faulty)})"
     else:
@@ -82,15 +87,32 @@ def _group_label(spec: RunSpec, algorithm=None) -> str:
 _ENGINES = ("auto", "batch")
 
 
+def _kernel_config(algorithm: AlgorithmSpec) -> tuple:
+    """The part of an algorithm spec its batch kernel reads.
+
+    The name and every parameter the catalogue does not declare
+    ``batch_ignored``, so cells that differ only in ignored parameters (the
+    randomised counter's coin-flip seed offset) pack into one group.
+    """
+    semantics = ALGORITHM_SEMANTICS.get(algorithm.name)
+    ignored = semantics.batch_ignored() if semantics is not None else frozenset()
+    return algorithm.name, tuple(
+        (key, value) for key, value in algorithm.params if key not in ignored
+    )
+
+
 def group_runs(
     specs: Iterable[RunSpec],
 ) -> tuple[dict[tuple, list[int]], list[int]]:
     """Partition specs into batchable groups plus scalar-only leftovers.
 
     A group collects the indices of specs that share one configuration —
-    the prerequisite for folding their trials into one batch.  Specs with
-    pre-built algorithm or adversary *instances* are never grouped (their
-    mutable state cannot be assumed shareable across trials).
+    the prerequisite for folding their trials into one batch.  Specs whose
+    algorithms differ only in ``batch_ignored`` parameters share a group:
+    the kernel cannot tell them apart, and every trial's result is
+    independent of the other trials it runs with.  Specs with pre-built
+    algorithm or adversary *instances* are never grouped (their mutable
+    state cannot be assumed shareable across trials).
     """
     groups: dict[tuple, list[int]] = {}
     scalar: list[int] = []
@@ -102,7 +124,7 @@ def group_runs(
             continue
         key = (
             spec.model,
-            spec.algorithm,
+            _kernel_config(spec.algorithm),
             spec.adversary,
             spec.adversary_params,
             len(spec.faulty),
@@ -250,6 +272,7 @@ class BatchExecutor:
         back.
         """
         spec = group[0]
+        cells = len({member.algorithm for member in group})
         reason: str | None = None
         algorithm = None
         kernel = None
@@ -261,7 +284,7 @@ class BatchExecutor:
                 f"fault schedule {spec.fault_schedule!r} runs on the scalar "
                 "engine (no batch schedule path)"
             )
-            label = _group_label(spec)
+            label = _group_label(spec, cells=cells)
             if self.engine == "batch":
                 raise ParameterError(
                     f"engine='batch' requested but group {label} cannot "
@@ -290,7 +313,7 @@ class BatchExecutor:
                     f"kernel model {kernel.model!r} does not match the run "
                     f"model {spec.model!r}"
                 )
-        label = _group_label(spec, algorithm)
+        label = _group_label(spec, algorithm, cells)
         if reason is not None:
             if self.engine == "batch":
                 raise ParameterError(
@@ -356,8 +379,22 @@ class BatchExecutor:
         )
 
     def _run_group(self, algorithm, kernel, group: list[RunSpec]) -> list[RunResult]:
-        """Vectorised execution of one homogeneous group."""
+        """Vectorised execution of one homogeneous group.
+
+        Each member is reduced against its own :class:`RunSpec` (run id,
+        algorithm label), and against ``algorithm`` — the first member's
+        build — for the facts :func:`reduce_run` reads from the instance.
+        Packed cells must agree on those facts.
+        """
         spec = group[0]
+        facts = reduced_facts(algorithm)
+        for cell in dict.fromkeys(member.algorithm for member in group):
+            if cell != spec.algorithm and reduced_facts(cell.build()) != facts:
+                raise SimulationError(
+                    f"packed cells {spec.algorithm_label()} and {cell.label()} "
+                    "disagree on (n, f, c, stabilization_bound()); a parameter "
+                    "declared batch_ignored changes the algorithm"
+                )
         trials = [
             BatchTrial(
                 sim_seed=member.sim_seed,

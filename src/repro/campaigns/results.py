@@ -39,6 +39,7 @@ __all__ = [
     "CampaignStore",
     "reduce_run",
     "reduce_trace",
+    "reduced_facts",
     "summarize_results",
 ]
 
@@ -219,6 +220,16 @@ class RunResult:
             agreement_fraction=self.agreement_fraction,
             faulty=self.faulty,
         )
+
+
+def reduced_facts(algorithm: Any) -> tuple[Any, ...]:
+    """What :func:`reduce_run` reads from an algorithm instance.
+
+    Runs whose algorithm instances agree on these facts reduce identically
+    from identical agreed values, which is what lets one batch group carry
+    several campaign cells.
+    """
+    return algorithm.n, algorithm.f, algorithm.c, algorithm.stabilization_bound()
 
 
 def reduce_run(

@@ -8,7 +8,7 @@ of trials with array operations:
 * :class:`NaiveMajorityBatchKernel` — one-hot tallies over the received
   matrix, strict-majority selection, minimum fallback.
 * :class:`RandomizedFollowMajorityBatchKernel` — the ``n - f`` threshold test
-  plus vectorised random re-draws (NumPy randomness; statistically
+  plus vectorised random re-draws (counter-based draws; statistically
   equivalent to the scalar per-node ``random.Random`` stream).
 * :class:`BoostedBatchKernel` — the full Theorem 1 construction
   (Corollary 1 / Figure 2 stacks): recursive inner-counter transitions,
@@ -67,6 +67,7 @@ from repro.counters.naive import NaiveMajorityCounter
 from repro.counters.randomized import RandomizedFollowMajorityCounter
 from repro.counters.trivial import TrivialCounter
 from repro.network.batch import BatchKernel
+from repro.util.counter_rng import CounterRNG, DrawSite
 
 __all__ = [
     "TrivialBatchKernel",
@@ -177,12 +178,19 @@ class BoostedStateCodec:
     Shared by the broadcast :class:`BoostedBatchKernel` and the pulling
     :class:`repro.sampling.kernels.SampledBoostedBatchKernel`: the state is
     the inner core's fields followed by the phase king registers ``(a, d)``.
+
+    ``field_highs`` holds, per field, the number of values a uniformly
+    random state draws for it; an ``a`` register draws from ``[c] ∪ {∞}``
+    as ``c + 1`` values, and ``unset_marks`` holds the drawn value that
+    stands for ∞ in each register column (``-1``, never drawn, elsewhere).
     """
 
     def __init__(self, inner_core, c: int) -> None:
         self.inner_core = inner_core
         self.c = c
         self.fields = inner_core.fields + 2
+        self.field_highs = np.append(inner_core.field_highs, [c + 1, 2])
+        self.unset_marks = np.append(inner_core.unset_marks, [c, -1])
 
     def encode(self, state: Any) -> tuple[int, ...]:
         return (*self.inner_core.encode(state.inner), int(state.a), int(state.d))
@@ -200,15 +208,13 @@ class BoostedStateCodec:
         return np.where((a >= 0) & (a < self.c), a, 0)
 
     def random_fields(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
+        self, rng: CounterRNG, site: DrawSite, shape: tuple[int, ...]
     ) -> np.ndarray:
-        inner = self.inner_core.random_fields(rng, shape)
-        # random_state draws a uniformly from [c] ∪ {∞}: c + 1 choices with
-        # the last one mapping to the INFINITY sentinel.
-        a = rng.integers(0, self.c + 1, size=shape, dtype=np.int64)
-        a = np.where(a == self.c, INFINITY, a)
-        d = rng.integers(0, 2, size=shape, dtype=np.int64)
-        return np.concatenate([inner, a[..., None], d[..., None]], axis=-1)
+        # Every level's fields in one draw: each field uniform over its own
+        # range, and each register's last value mapped to the ∞ sentinel —
+        # random_state's distribution at every level of the stack.
+        fields = rng.integers(site, self.field_highs, shape + (self.fields,))
+        return np.where(fields == self.unset_marks, INFINITY, fields)
 
 
 # ---------------------------------------------------------------------- #
@@ -230,8 +236,8 @@ class _IntStateKernel(BatchKernel):
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return states[..., 0]
 
-    def random_fields(self, rng, shape):
-        return rng.integers(0, self.algorithm.c, size=shape + (1,), dtype=np.int64)
+    def random_fields(self, rng, site, shape):
+        return rng.integers(site, self.algorithm.c, shape + (1,))
 
 
 class TrivialBatchKernel(_IntStateKernel):
@@ -262,9 +268,12 @@ class NaiveMajorityBatchKernel(_IntStateKernel):
 class RandomizedFollowMajorityBatchKernel(_IntStateKernel):
     """The folklore randomised counter: follow an ``n - f`` majority or redraw.
 
-    The redraw uses the batch's NumPy generator instead of the algorithm's
-    per-instance ``random.Random``, so stabilisation-time distributions match
-    the scalar engine statistically but not sample-by-sample.
+    The redraw uses the batch's counter-based draws instead of the
+    algorithm's per-instance ``random.Random``, so stabilisation-time
+    distributions match the scalar engine statistically but not sample by
+    sample.  The kernel never reads the algorithm's ``seed`` offset (the
+    catalogue declares it ``batch_ignored``), so cells differing only in it
+    share one batch group.
     """
 
     deterministic = False
@@ -279,7 +288,7 @@ class RandomizedFollowMajorityBatchKernel(_IntStateKernel):
         # at most one value can reach n - f anyway (n > 3f).
         minimum_supported = supported.argmax(axis=-1)
         draws = rng.integers(
-            0, algorithm.c, size=(view.batch, view.n), dtype=np.int64
+            DrawSite.RANDOMIZED_REDRAW, algorithm.c, (view.batch, view.n)
         )
         follow = (minimum_supported + 1) % algorithm.c
         return np.where(any_supported, follow, draws)[..., None]
@@ -297,6 +306,8 @@ class _TrivialCore:
 
     def __init__(self, algorithm: TrivialCounter) -> None:
         self.algorithm = algorithm
+        self.field_highs = np.array([algorithm.c])
+        self.unset_marks = np.array([-1])
 
     def encode(self, state: Any) -> tuple[int, ...]:
         return (int(state),)
@@ -306,9 +317,6 @@ class _TrivialCore:
 
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return states[..., 0]
-
-    def random_fields(self, rng, shape):
-        return rng.integers(0, self.algorithm.c, size=shape + (1,), dtype=np.int64)
 
     def transition(self, messages: np.ndarray, receivers: np.ndarray) -> np.ndarray:
         # One node per block: each vector is the single node's own state,
@@ -337,6 +345,8 @@ class _BoostedCore:
         self.inner = inner
         self.codec = BoostedStateCodec(inner, algorithm.c)
         self.fields = self.codec.fields
+        self.field_highs = self.codec.field_highs
+        self.unset_marks = self.codec.unset_marks
         layout = algorithm.layout
         interpretation = algorithm.interpretation
         self.k = layout.k
@@ -367,8 +377,8 @@ class _BoostedCore:
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return self.codec.outputs(states)
 
-    def random_fields(self, rng, shape):
-        return self.codec.random_fields(rng, shape)
+    def random_fields(self, rng, site, shape):
+        return self.codec.random_fields(rng, site, shape)
 
     # -- the round -------------------------------------------------------- #
 
@@ -492,8 +502,8 @@ class BoostedBatchKernel(BatchKernel):
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return self.core.outputs(states)
 
-    def random_fields(self, rng, shape):
-        return self.core.random_fields(rng, shape)
+    def random_fields(self, rng, site, shape):
+        return self.core.random_fields(rng, site, shape)
 
     def step(self, view, round_index, rng):
         shared = view.shared_vector()

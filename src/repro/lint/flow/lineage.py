@@ -20,7 +20,16 @@ algorithm   ``"initial-states"``, ``"sampling"``, ``"links"``,
 Planes must never mix: the faults stream feeding an adversary (or vice
 versa) would silently shift the draw sequences of unperturbed historical
 traces, breaking bit-identical replay while every sampled parity check still
-passes.  This module computes, per function, the lineage of every local RNG
+passes.
+
+The batch engine's counter-based generator
+(:class:`repro.util.counter_rng.CounterRNG`) is the one other stream source:
+its constructor is a named stream, ``"batch-counter"``, with no plane of its
+own.  It serves algorithm, adversary and loss/delay draws alike, and keeps
+them apart by named draw site rather than by derived stream; DET002 confines
+its construction to the batch engine's chunk loop.
+
+This module computes, per function, the lineage of every local RNG
 value (a small lattice: named stream < derived < unknown) and records the
 two findable events — a draw whose receiver has *unknown* lineage, and a
 plane-carrying value flowing into a parameter or slot that names a
@@ -35,9 +44,11 @@ from typing import Mapping, Sequence
 
 from repro.lint.context import ModuleUnit
 from repro.lint.flow.callgraph import CallGraph, ClassInfo, FunctionInfo
+from repro.lint.rules import COUNTER_RNG
 
 __all__ = [
     "ALWAYS_DRAW_METHODS",
+    "COUNTER_STREAM",
     "RNG_ONLY_DRAW_METHODS",
     "STREAM_PLANES",
     "CallSite",
@@ -200,6 +211,9 @@ DERIVATION_NAMES = frozenset(
     {_DERIVE_RNG, _ENSURE_RNG, _SPAWN_RNGS, _DERIVE_STREAMS}
 )
 
+#: The stream label of every CounterRNG the batch engine builds.
+COUNTER_STREAM = "batch-counter"
+
 #: Qualified constructor targets that mint a fresh generator.
 _RNG_CONSTRUCTORS = frozenset(
     {
@@ -345,6 +359,8 @@ class _FunctionAnalyzer:
         if name == _DERIVE_STREAMS:
             return Lineage(kind="streams")
         target = self.unit.resolve_call_target(node.func)
+        if target == COUNTER_RNG:
+            return Lineage(kind="stream", label=COUNTER_STREAM)
         if target in _RNG_CONSTRUCTORS:
             return Lineage(kind="constructed")
         return UNKNOWN

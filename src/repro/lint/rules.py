@@ -215,6 +215,12 @@ _GLOBAL_DRAWS: frozenset[str] = frozenset(
 )
 
 
+#: The batch engine's counter-based generator, and the one module that may
+#: key it on trial seeds (the chunk loop of the batch engine).
+COUNTER_RNG = "repro.util.counter_rng.CounterRNG"
+COUNTER_RNG_SITES: frozenset[str] = frozenset({"repro.network.batch"})
+
+
 @register_rule
 class RngConstructionRule(Rule):
     """RNG streams are derived at sanctioned sites, received elsewhere."""
@@ -223,11 +229,11 @@ class RngConstructionRule(Rule):
     title = "RNG construction only at sanctioned derivation sites"
     rationale = (
         "every stream must be derived from the master seed via "
-        "repro.util.rng (or an explicitly waived derivation site such as "
-        "the batch seed-vector in network/batch.py); an ad-hoc "
-        "random.Random()/np.random.default_rng() or a module-global "
-        "random.random() draw forks an untracked stream and breaks "
-        "seed-reproducibility — RNG objects must arrive as parameters"
+        "repro.util.rng, and the batch engine's counter-based CounterRNG is "
+        "keyed on trial seeds only in repro.network.batch; an ad-hoc "
+        "random.Random()/np.random.default_rng()/CounterRNG() or a "
+        "module-global random.random() draw forks an untracked stream and "
+        "breaks seed-reproducibility — RNG objects must arrive as parameters"
     )
     sanctioned = frozenset({"repro.util.rng"})
 
@@ -238,7 +244,15 @@ class RngConstructionRule(Rule):
             target = unit.resolve_call_target(node.func)
             if target is None:
                 continue
-            if target in _RNG_CONSTRUCTION:
+            if target == COUNTER_RNG and unit.module not in COUNTER_RNG_SITES:
+                yield self.finding(
+                    unit,
+                    node,
+                    f"{target}() keys counter-based batch draws outside the "
+                    "sanctioned batch site (repro.network.batch); kernels "
+                    "must draw from the generator they are passed",
+                )
+            elif target in _RNG_CONSTRUCTION:
                 yield self.finding(
                     unit,
                     node,

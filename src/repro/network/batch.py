@@ -45,19 +45,26 @@ Correctness contract
   engine bit for bit.  This is asserted trial-by-trial in
   ``tests/network/test_batch.py``.
 * **Randomised configurations are statistically equivalent.**  Randomised
-  kernels (and randomised adversary kernels) draw from a NumPy
-  ``Generator`` seeded from the trial seeds instead of replaying the scalar
-  engine's per-call ``random.Random`` streams; the per-round distributions
-  are identical but the sampled values are not.  Such traces carry an
-  explicit ``rng`` note in their metadata (:data:`BATCH_RNG_NOTE`) so
-  downstream consumers can tell the streams apart.
+  kernels (and randomised adversary kernels) draw from a
+  :class:`~repro.util.counter_rng.CounterRNG` keyed on the trial seeds
+  instead of replaying the scalar engine's per-call ``random.Random``
+  streams; the per-round distributions are identical but the sampled
+  values are not.  Such traces carry an explicit ``rng`` note in their
+  metadata (:data:`BATCH_RNG_NOTE`) so downstream consumers can tell the
+  streams apart.
+* **Every trial's result is chunk-invariant.**  Each counter-based draw is
+  a pure function of (trial seed, round, draw site, element index within
+  the trial's slice), and nothing else a trial reads depends on the other
+  trials of its chunk.  A trial's summary is therefore the same for any
+  ``batch_size``, any trial order, and when packed with trials of other
+  campaign cells.
 * **Message-plane perturbations are statistically equivalent.**  The
   ``loss`` / ``delay`` knobs replay the scalar staleness model of
   :func:`repro.faults.runtime.run_perturbed_round` — per-link draws from
   the same distributions, self-links and Byzantine links untouched — as
   masked array ops over a short history of state snapshots.  Perturbed
-  runs always consume NumPy randomness, so they always carry the ``rng``
-  note.  Fault *schedules* have no batch path: the campaign layer routes
+  runs always draw randomness, so they always carry the ``rng`` note.
+  Fault *schedules* have no batch path: the campaign layer routes
   scheduled runs to the scalar engine with a named fallback reason.
 """
 
@@ -82,6 +89,7 @@ from repro.semantics import (
 from repro.network.trace import ExecutionTrace, RoundRecord
 from repro.obs.events import RoundObserved
 from repro.obs.observer import active as _active_observer
+from repro.util.counter_rng import CounterRNG, DrawSite
 from repro.util.rng import ensure_rng
 
 __all__ = [
@@ -103,11 +111,16 @@ __all__ = [
     "run_batch_summaries",
 ]
 
-#: Metadata note stamped into traces whose batch execution consumed NumPy
-#: randomness (randomised kernel or randomised adversary kernel).  Scalar
-#: traces never carry the key, and deterministic batch traces omit it so they
-#: stay bit-identical to their scalar counterparts.
-BATCH_RNG_NOTE = "batch:numpy-PCG64 (statistically equivalent to the scalar random.Random streams)"
+#: Metadata note stamped into traces whose batch execution drew randomness
+#: (randomised kernel, randomised adversary kernel or loss/delay).  It names
+#: the counter-based generator of :mod:`repro.util.counter_rng`, so stored
+#: rows say which stream produced them.  Scalar traces never carry the key,
+#: and deterministic batch traces omit it so they stay bit-identical to
+#: their scalar counterparts.
+BATCH_RNG_NOTE = (
+    "batch:counter-splitmix64 (per-trial counter-based draws; statistically "
+    "equivalent to the scalar random.Random streams)"
+)
 
 #: Sentinel for "all correct nodes disagree" in the vectorised agreement
 #: tracking; counter outputs are always non-negative.
@@ -156,7 +169,7 @@ class BatchRunSummary:
     pulls_per_round / message_bits:
         Pulling-model statistics (``None`` / ``0`` for broadcast trials).
     rng_note:
-        :data:`BATCH_RNG_NOTE` when the execution consumed NumPy randomness
+        :data:`BATCH_RNG_NOTE` when the execution drew randomness
         (randomised kernel or adversary kernel), ``None`` for deterministic
         — bit-identical — executions.  Propagated into
         :attr:`repro.campaigns.results.RunResult.rng` so stored results
@@ -190,9 +203,9 @@ class _KernelBase(ABC):
     #: Number of int64 fields per node state.
     fields: int = 1
 
-    #: Whether :meth:`step` is a pure function of its inputs (consumes no
-    #: NumPy randomness).  Deterministic kernels are bit-identical to the
-    #: scalar engine; randomised ones are statistically equivalent.
+    #: Whether :meth:`step` is a pure function of its inputs (draws no
+    #: randomness).  Deterministic kernels are bit-identical to the scalar
+    #: engine; randomised ones are statistically equivalent.
     deterministic: bool = True
 
     def __init__(self, algorithm: Any) -> None:
@@ -212,14 +225,14 @@ class _KernelBase(ABC):
 
     @abstractmethod
     def random_fields(
-        self, rng: np.random.Generator, shape: tuple[int, ...]
+        self, rng: CounterRNG, site: DrawSite, shape: tuple[int, ...]
     ) -> np.ndarray:
         """Uniformly random valid states, shaped ``(*shape, fields)``.
 
-        Must sample the same distribution as the algorithm's
-        ``random_state`` (used by the random-state / split-state adversary
-        kernels, *not* for initial states — those come from the scalar
-        streams so deterministic runs stay bit-identical).
+        One draw at ``site``.  Must sample the same distribution as the
+        algorithm's ``random_state`` (used by the random-state / split-state
+        adversary kernels, *not* for initial states — those come from the
+        scalar streams so deterministic runs stay bit-identical).
         """
 
     def default_fields(self) -> np.ndarray:
@@ -234,7 +247,7 @@ class BatchKernel(_KernelBase):
 
     @abstractmethod
     def step(
-        self, view: "BatchMessages", round_index: int, rng: np.random.Generator
+        self, view: "BatchMessages", round_index: int, rng: CounterRNG
     ) -> np.ndarray:
         """Map the round's received messages to successor states.
 
@@ -255,7 +268,7 @@ class PullBatchKernel(_KernelBase):
         self,
         network: "BatchPullNetwork",
         round_index: int,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> tuple[np.ndarray, int]:
         """One pulling round: draw targets, pull responses, update states.
 
@@ -467,7 +480,7 @@ class PerturbedBatchMessages(BatchMessages):
 
 
 def _delayed_deliveries(
-    history: list[np.ndarray], loss: float, delay: int, rng: np.random.Generator
+    history: list[np.ndarray], loss: float, delay: int, rng: CounterRNG
 ) -> np.ndarray:
     """Per-link delivered sender states under loss/delay: ``(B, n, n, fields)``.
 
@@ -482,9 +495,9 @@ def _delayed_deliveries(
     batch, n = history[0].shape[0], history[0].shape[1]
     staleness = np.zeros((batch, n, n), dtype=np.int64)
     if delay > 0:
-        staleness += rng.integers(0, delay + 1, size=(batch, n, n), dtype=np.int64)
+        staleness += rng.integers(DrawSite.LINK_DELAY, delay + 1, (batch, n, n))
     if loss > 0.0:
-        staleness += rng.random(size=(batch, n, n)) < loss
+        staleness += rng.random(DrawSite.LINK_LOSS, (batch, n, n)) < loss
     diagonal = np.arange(n)
     staleness[:, diagonal, diagonal] = 0
     np.minimum(staleness, len(history) - 1, out=staleness)
@@ -504,7 +517,7 @@ class BatchPullNetwork:
         adversary: "AdversaryBatchKernel | None",
         correct_sorted: np.ndarray,
         round_index: int,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> None:
         self.states = states
         self._faulty_lookup = faulty_lookup
@@ -561,7 +574,7 @@ class AdversaryBatchKernel(ABC):
     def __init__(self, kernel: _KernelBase) -> None:
         self.kernel = kernel
         #: The resolved answer for this concrete algorithm kernel: whether
-        #: :meth:`forge` consumes NumPy randomness against its encoding.
+        #: :meth:`forge` draws randomness against its encoding.
         self.deterministic = type(self).is_deterministic_for(kernel)
 
     @classmethod
@@ -581,7 +594,7 @@ class AdversaryBatchKernel(ABC):
         round_index: int,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> None:
         """Per-round hook (e.g. the split-state pair draw)."""
 
@@ -593,7 +606,7 @@ class AdversaryBatchKernel(ABC):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         """Forged field vectors for broadcastable sender/receiver indices.
 
@@ -637,7 +650,7 @@ class CrashBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         default = self.kernel.default_fields()
@@ -666,7 +679,7 @@ class FixedStateBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         return np.broadcast_to(self._fields, shape + (self.kernel.fields,))
@@ -684,10 +697,10 @@ class RandomStateBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
-        return self.kernel.random_fields(rng, shape)
+        return self.kernel.random_fields(rng, DrawSite.RANDOM_STATE_FORGE, shape)
 
 
 class SplitStateBatchKernel(AdversaryBatchKernel):
@@ -704,11 +717,13 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
         round_index: int,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> None:
         # One pair per trial per round, shared by all faulty senders —
         # exactly the scalar SplitStateAdversary.on_round_start draw.
-        self._pair = self.kernel.random_fields(rng, (states.shape[0], 2))
+        self._pair = self.kernel.random_fields(
+            rng, DrawSite.SPLIT_STATE_PAIR, (states.shape[0], 2)
+        )
 
     def forge(
         self,
@@ -717,7 +732,7 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         assert self._pair is not None
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
@@ -739,7 +754,7 @@ class MimicBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         num_correct = correct_sorted.shape[1]
@@ -780,11 +795,11 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         if self._layout is None:
-            return self.kernel.random_fields(rng, shape)
+            return self.kernel.random_fields(rng, DrawSite.SKEW_RANDOM_FORGE, shape)
         inner_fields, c = self._layout
         num_correct = correct_sorted.shape[1]
         bidx = _batch_index(states.shape[0], shape)
@@ -797,9 +812,7 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
         )
         even = np.broadcast_to(receivers % 2 == 0, shape)
         forged[..., inner_fields] = np.where(even, skewed, _INFINITY)
-        forged[..., inner_fields + 1] = rng.integers(
-            0, 2, size=shape, dtype=np.int64
-        )
+        forged[..., inner_fields + 1] = rng.integers(DrawSite.SKEW_AUX_BIT, 2, shape)
         return forged
 
 
@@ -841,7 +854,7 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         round_index: int,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> None:
         batch, n = states.shape[0], states.shape[1]
         c = self.kernel.algorithm.c
@@ -876,7 +889,7 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         receivers: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         assert self._camp0 is not None and self._camp1 is not None
         assert self._outputs is not None and self._correct_mask is not None
@@ -909,11 +922,11 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
         self,
         target: np.ndarray,
         shape: tuple[int, ...],
-        rng: np.random.Generator,
+        rng: CounterRNG,
     ) -> np.ndarray:
         # The scalar _fabricate_state for structured states: a random state
         # with the phase king registers pinned to (target, 1).
-        fields = self.kernel.random_fields(rng, shape)
+        fields = self.kernel.random_fields(rng, DrawSite.ADAPTIVE_FABRICATE, shape)
         if self._layout is not None:
             inner_fields, c = self._layout
             fields[..., inner_fields] = target % c
@@ -1030,11 +1043,12 @@ def run_batch_trials(
     ``loss`` / ``delay`` engage the message-plane perturbations of
     :class:`repro.faults.schedule.Perturbations` (broadcast model only):
     per-link staleness drawn from the same distributions the scalar
-    perturbed round uses.  Perturbed runs always consume NumPy randomness,
-    so they are statistically — never bit — equivalent to scalar runs.
+    perturbed round uses.  Perturbed runs always draw randomness, so they
+    are statistically — never bit — equivalent to scalar runs.
 
-    ``batch_size`` bounds the number of trials vectorised together (memory —
-    and, for randomised kernels, the chunking of the NumPy streams).
+    ``batch_size`` bounds the number of trials vectorised together (memory
+    only: every trial's result is the same for any ``batch_size`` and any
+    trial order, randomised ones included).
     ``observer`` attaches :mod:`repro.obs` instrumentation (step timers,
     throughput counters, sampled ``round_observed`` events); observers only
     read, so results are unchanged by one.
@@ -1215,7 +1229,7 @@ def _run_chunk(
             sender_ok[index, faulty] = False
 
         # Only the first derived stream feeds the batch path (the kernels
-        # replace the adversary/sampling streams with NumPy randomness), and
+        # replace the adversary/sampling streams with counter-based draws), and
         # later derivations cannot influence an already-derived stream — so
         # deriving just "initial-states" is bit-exact and skips constructing
         # the unused generators.
@@ -1249,8 +1263,9 @@ def _run_chunk(
                 )
             )
 
-    # repro-lint: allow[DET002] -- the sanctioned batch seed-vector site: the one shared PCG64 stream is derived from the per-trial sim seeds
-    rng = np.random.default_rng([int(trial.sim_seed) & 0xFFFFFFFF for trial in trials])
+    # Every draw is keyed on its own trial's seed, so no trial's values
+    # depend on the other trials of the chunk.
+    rng = CounterRNG([trial.sim_seed for trial in trials])
 
     faulty_lookup = None
     if pulling and num_faults:
@@ -1287,6 +1302,7 @@ def _run_chunk(
     for round_index in range(max_rounds):
         if step_timer is not None:
             step_started = time.perf_counter()
+        rng.start_round(round_index)
         if adversary_kernel is not None:
             adversary_kernel.begin_round(round_index, states, correct_sorted, rng)
         pulls: int | None = None
@@ -1375,6 +1391,7 @@ def _run_chunk(
         if not keep.any():
             break
         active = active[keep]
+        rng.compact(keep)
         states = states[keep]
         sender_ok = sender_ok[keep]
         correct_sorted = correct_sorted[keep]

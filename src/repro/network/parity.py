@@ -5,7 +5,7 @@ configuration, one of two equivalence classes with the scalar engine:
 
 * **bit-identical** — deterministic algorithm kernel *and* deterministic
   adversary kernel: traces must match the scalar engine bit for bit;
-* **statistically equivalent** — some kernel draws NumPy randomness: traces
+* **statistically equivalent** — some kernel draws randomness: traces
   must have the same shape, header and stop semantics (plus the explicit
   ``rng`` note), and the per-round *distributions* must match.
 
@@ -299,7 +299,7 @@ def check_parity(config: ParityConfig, observer: Any = None) -> ParityReport:
     """Run one configuration through both engines and verify equivalence.
 
     Deterministic configurations must be bit-identical (full trace
-    equality); randomised ones must agree on everything the NumPy streams
+    equality); randomised ones must agree on everything the batch draws
     cannot change — the trace header, initial outputs, output ranges, stop
     semantics and the ``rng`` provenance note.  Both modes additionally
     cross-check :func:`~repro.network.batch.run_batch_summaries` against the

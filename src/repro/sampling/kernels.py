@@ -11,9 +11,10 @@ boosted kernel uses.
 Randomness:
 
 * :class:`~repro.sampling.pull_boosting.SampledBoostedCounter` draws fresh
-  per-round samples — the batch kernel draws them from the NumPy generator,
-  so executions are *statistically equivalent* to the scalar engine (same
-  per-round distributions, different sample values).
+  per-round samples — the batch kernel draws them from the counter-based
+  :class:`~repro.util.counter_rng.CounterRNG`, so executions are
+  *statistically equivalent* to the scalar engine (same per-round
+  distributions, different sample values).
 * :class:`~repro.sampling.pseudo_random.PseudoRandomBoostedCounter` fixes its
   pull plans at construction (Corollary 5) and consumes no per-round
   randomness at all, so its batch executions are **bit-identical** to the
@@ -40,6 +41,7 @@ from repro.counters.kernels import (
 from repro.network.batch import PullBatchKernel
 from repro.sampling.pull_boosting import SampledBoostedCounter
 from repro.sampling.pseudo_random import PseudoRandomBoostedCounter
+from repro.util.counter_rng import CounterRNG, DrawSite
 
 __all__ = ["SampledBoostedBatchKernel", "build_pulling_kernel"]
 
@@ -99,12 +101,12 @@ class SampledBoostedBatchKernel(PullBatchKernel):
     def outputs(self, states: np.ndarray) -> np.ndarray:
         return self.codec.outputs(states)
 
-    def random_fields(self, rng, shape):
-        return self.codec.random_fields(rng, shape)
+    def random_fields(self, rng, site, shape):
+        return self.codec.random_fields(rng, site, shape)
 
     # -- the pull plan ----------------------------------------------------- #
 
-    def _targets(self, batch: int, rng: np.random.Generator) -> np.ndarray:
+    def _targets(self, batch: int, rng: CounterRNG) -> np.ndarray:
         """Per-round pull targets ``(B, n, P)`` in the scalar plan layout.
 
         Positional layout (consumed by :meth:`step` exactly like the scalar
@@ -121,12 +123,14 @@ class SampledBoostedBatchKernel(PullBatchKernel):
         block_offsets = (np.arange(self.k) * self.block_size)[None, None, :, None]
         block_samples = (
             rng.integers(
-                0, self.block_size, size=(batch, n, self.k, self.samples), dtype=np.int64
+                DrawSite.SAMPLED_BLOCK_TARGETS,
+                self.block_size,
+                (batch, n, self.k, self.samples),
             )
             + block_offsets
         ).reshape(batch, n, self.k * self.samples)
         king_samples = rng.integers(
-            0, self.algorithm.n, size=(batch, n, self.samples), dtype=np.int64
+            DrawSite.SAMPLED_KING_TARGETS, self.algorithm.n, (batch, n, self.samples)
         )
         own = np.broadcast_to(self.own_block_columns[None], (batch, n, self.block_size))
         kings = np.broadcast_to(

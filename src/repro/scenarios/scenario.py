@@ -253,8 +253,8 @@ class Scenario:
         adversary kernels) through the NumPy batch engine and everything
         else through the scalar per-run loop.  ``"batch"`` forces the batch
         engine for every kernel-covered group — randomised kernels then use
-        NumPy randomness, which is statistically equivalent to (but not
-        sample-identical with) the scalar streams and is flagged by an
+        counter-based draws, which are statistically equivalent to (but not
+        sample-identical with) the scalar streams and are flagged by an
         ``rng`` note in the trace metadata.  ``"scalar"`` always uses the
         per-run engine.
         """

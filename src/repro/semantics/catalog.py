@@ -193,7 +193,9 @@ ALGORITHM_SEMANTICS: dict[str, AlgorithmSemantics] = {
                 Parameter("n", 4, "number of nodes"),
                 Parameter("f", 1, "tolerated faults"),
                 Parameter("c", 2, "counter size"),
-                Parameter("seed", 0, "per-node coin-flip seed offset"),
+                Parameter(
+                    "seed", 0, "per-node coin-flip seed offset", batch_ignored=True
+                ),
             ),
             scalar_deterministic=False,
             batch_deterministic=False,

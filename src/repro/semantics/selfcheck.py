@@ -14,9 +14,14 @@ declaration against the actual implementations:
 * with NumPy available, every kernel binding resolves, the algorithm
   kernels' ``deterministic`` / ``fields`` match the declared
   ``batch_deterministic`` / ``flat_state``, and the adversary kernels'
-  actual NumPy RNG consumption (probed per encoding) matches the declared
+  actual batch draws (probed per encoding) match the declared
   :class:`~repro.semantics.spec.DeterminismClass` exactly — a mis-declared
-  determinism class is reported, not silently trusted.
+  determinism class is reported, not silently trusted;
+* every parameter declared ``batch_ignored`` really is: a batch run under
+  two values of it gives identical summaries, and the two instances agree
+  on what the campaign reduction reads (``n``, ``f``, ``c`` and the
+  stabilisation bound), so packing such cells into one batch group is
+  exact.
 
 ``verify`` returns a list of human-readable problems (empty means the
 catalogue is sound); the CI ``semantics-audit`` job and the test suite run
@@ -79,8 +84,14 @@ def _scalar_rng_consumed(
 
 
 def _batch_rng_consumed(kernel_cls: Any, kernel: Any, params: dict[str, Any]) -> bool:
-    """Whether one batch forge round against ``kernel`` drew NumPy randomness."""
+    """Whether one batch forge round against ``kernel`` drew randomness.
+
+    Counter-based draws leave no generator state behind, so the probe reads
+    the generator's draw counter.
+    """
     import numpy as np
+
+    from repro.util.counter_rng import CounterRNG
 
     adversary_kernel = kernel_cls(kernel, **params)
     n = kernel.algorithm.n
@@ -91,9 +102,8 @@ def _batch_rng_consumed(kernel_cls: Any, kernel: Any, params: dict[str, Any]) ->
         np.arange(1, n)[None, :], (batch, n - 1)
     ).copy()
     faulty_idx = np.zeros((batch, 1), dtype=np.int64)
-    # repro-lint: allow[DET002] -- fixed-seed NumPy probe stream local to the audit; scalar streams have no NumPy-side derivation helper
-    rng = np.random.default_rng(1)
-    before = repr(rng.bit_generator.state)
+    # repro-lint: allow[DET002] -- fixed-seed probe generator local to the audit, which drives one adversary round outside the batch loop
+    rng = CounterRNG(range(batch))
     adversary_kernel.begin_round(0, states, correct_sorted, rng)
     adversary_kernel.forge(
         0,
@@ -103,7 +113,7 @@ def _batch_rng_consumed(kernel_cls: Any, kernel: Any, params: dict[str, Any]) ->
         correct_sorted,
         rng,
     )
-    return repr(rng.bit_generator.state) != before
+    return rng.draws > 0
 
 
 def _check_algorithms(
@@ -173,6 +183,53 @@ def _check_algorithms(
                 f"algorithm {name!r}: declared flat_state={spec.flat_state} "
                 f"but the kernel encodes {kernel.fields} field(s)"
             )
+
+
+def _batch_ignored_probe(spec: AlgorithmSemantics, parameter: str) -> str | None:
+    """Run one batch group under two values of ``parameter``; report drift."""
+    from repro.campaigns.results import reduced_facts
+    from repro.network.batch import BatchTrial, build_batch_kernel, run_batch_summaries
+
+    profile = spec.fuzz[0]
+    params = {p.name: p.default for p in spec.parameters}
+    params.update(profile.params)
+    if not isinstance(params[parameter], int):
+        return f"cannot probe non-integer value {params[parameter]!r}"
+    faults = profile.max_faults
+    strategy = "random-state" if faults else None
+    outcomes: list[tuple[str, tuple[Any, ...]]] = []
+    for value in (params[parameter], params[parameter] + 1):
+        algorithm = spec.build(**{**params, parameter: value})
+        summaries = run_batch_summaries(
+            algorithm,
+            build_batch_kernel(algorithm),
+            [BatchTrial(sim_seed=seed, faulty=tuple(range(faults))) for seed in range(4)],
+            adversary_strategy=strategy,
+            max_rounds=min(profile.max_rounds, 40),
+            stop_after_agreement=4,
+        )
+        outcomes.append((repr(summaries), reduced_facts(algorithm)))
+    if outcomes[0][1] != outcomes[1][1]:
+        return "changing it changes (n, f, c, stabilization_bound())"
+    if outcomes[0][0] != outcomes[1][0]:
+        return "changing it changes the batch summaries"
+    return None
+
+
+def _check_batch_ignored(
+    algorithms: Mapping[str, AlgorithmSemantics], problems: list[str]
+) -> None:
+    for name, spec in algorithms.items():
+        for parameter in sorted(spec.batch_ignored()):
+            try:
+                problem = _batch_ignored_probe(spec, parameter)
+            except Exception as exc:  # noqa: BLE001 - report, don't crash the audit
+                problem = f"probe failed: {exc}"
+            if problem is not None:
+                problems.append(
+                    f"algorithm {name!r}: parameter {parameter!r} is declared "
+                    f"batch_ignored but {problem}"
+                )
 
 
 def _check_adversaries(
@@ -252,13 +309,13 @@ def _check_adversaries(
                 problems.append(
                     f"strategy {name!r}: determinism class declares "
                     f"bit-identity for {label} encodings but the kernel "
-                    "consumed NumPy randomness"
+                    "drew randomness"
                 )
             if not declared and not drew:
                 problems.append(
                     f"strategy {name!r}: determinism class declares "
                     f"statistical equivalence for {label} encodings but the "
-                    "kernel consumed no NumPy randomness"
+                    "kernel drew no randomness"
                 )
 
 
@@ -336,6 +393,8 @@ def verify(
     )
     problems: list[str] = []
     _check_algorithms(algorithms, problems)
+    if _numpy_available():
+        _check_batch_ignored(algorithms, problems)
     _check_schedules(adversaries, schedules, problems)
     for probe_name, _ in (_FLAT_PROBE, _BOOSTED_PROBE):
         if probe_name not in algorithms:

@@ -71,11 +71,20 @@ def flat_encoding(kernel: Any) -> bool:
 
 @dataclass(frozen=True)
 class Parameter:
-    """One entry of a component's parameter schema."""
+    """One entry of a component's parameter schema.
+
+    ``batch_ignored`` declares that the algorithm's batch kernel never
+    reads the parameter (the randomised counter's scalar coin-flip seed
+    offset), so campaign cells that differ only in it share one batch
+    group.  Packing them is exact because every batch draw is keyed on its
+    own trial's seed.  The semantics self-check runs a batch group under two
+    values of every such parameter and requires identical summaries.
+    """
 
     name: str
     default: Any
     help: str = ""
+    batch_ignored: bool = False
 
 
 def format_schema(parameters: Iterable[Parameter]) -> str:
@@ -107,8 +116,8 @@ def validate_parameters(
 class DeterminismClass:
     """Batch-vs-scalar equivalence of a strategy, per state encoding.
 
-    ``flat`` / ``boosted`` state whether the strategy's batch kernel consumes
-    NumPy randomness against flat integer encodings and against boosted
+    ``flat`` / ``boosted`` state whether the strategy's batch kernel draws
+    randomness against flat integer encodings and against boosted
     (structured) encodings respectively: ``True`` means the kernel is pure
     there, so batch executions are bit-identical to the scalar engine.
     """
@@ -143,7 +152,7 @@ class DeterminismClass:
                 "statistically equivalent for flat counters, "
                 "bit-identical for boosted states"
             )
-        return "statistically equivalent (NumPy RNG)"
+        return "statistically equivalent (counter-based RNG)"
 
 
 #: The three classes the registered strategies actually inhabit.
@@ -187,7 +196,7 @@ class AlgorithmSemantics:
         (construction- or run-time; the registry's ``deterministic`` flag).
     batch_deterministic:
         Whether the default-parameterisation batch kernel's ``step`` is a
-        pure function (consumes no NumPy randomness) — the bit-identity leg
+        pure function (draws no randomness) — the bit-identity leg
         of the parity contract.  Note the two flags are independent:
         ``pseudo-random-boosted`` seeds its pull plans at construction
         (scalar-randomised) yet replays them purely per round
@@ -222,11 +231,15 @@ class AlgorithmSemantics:
         """Resolve the vectorised kernel class (imports NumPy)."""
         return resolve_binding(self.kernel_binding)
 
+    def batch_ignored(self) -> frozenset[str]:
+        """Names of the parameters the batch kernel never reads."""
+        return frozenset(p.name for p in self.parameters if p.batch_ignored)
+
     def coverage_note(self) -> str:
         """The batch-engine coverage note shown by discovery surfaces."""
         if self.batch_deterministic:
             return "vectorised, bit-identical (int64-safe parameterisations)"
-        return "vectorised, statistically equivalent (NumPy RNG)"
+        return "vectorised, statistically equivalent (counter-based RNG)"
 
     def validate(self, params: Mapping[str, Any]) -> None:
         """Reject parameters outside the schema (:class:`ParameterError`)."""

@@ -54,6 +54,151 @@ class TestGrouping:
         assert not groups and scalar == [0]
 
 
+def grid_cells_campaign(coin_offsets=range(8), randomized_n=range(8, 25)):
+    """The grid-many-cells benchmark shape: many 8-run cells, most of them
+    randomised-counter cells differing only in the coin-flip seed offset."""
+    algorithms = [
+        AlgorithmSpec.create(
+            "randomized-follow-majority",
+            {"n": n, "f": (n - 1) // 3, "c": 2, "seed": offset},
+        )
+        for offset in coin_offsets
+        for n in randomized_n
+    ]
+    for c in (2, 3, 4, 5):
+        algorithms += [
+            AlgorithmSpec.create(
+                "naive-majority", {"n": n, "c": c, "claimed_resilience": (n - 1) // 3}
+            )
+            for n in (12, 24)
+        ]
+    algorithms += [AlgorithmSpec.create("corollary1", {"f": f}) for f in (1, 2)]
+    return CampaignSpec(
+        name="grid-cells",
+        algorithms=tuple(algorithms),
+        adversaries=("random-state", "crash", "mimic", "split-state"),
+        runs_per_setting=8,
+        seed=1,
+        max_rounds=100,
+        stop_after_agreement=20,
+        engine="batch",
+    )
+
+
+def _vary(spec: RunSpec, **changes) -> RunSpec:
+    return dataclasses.replace(spec, run_id=f"{spec.run_id}/varied", **changes)
+
+
+class TestPacking:
+    def test_grid_many_cells_shape_packs_into_108_groups(self):
+        runs = grid_cells_campaign().expand()
+        groups, scalar = group_runs(runs)
+        assert not scalar
+        # 17 sizes x 4 strategies randomised groups of 64 runs (8 coin-flip
+        # offsets packed), plus 10 deterministic algorithms x 4 strategies.
+        assert len(groups) == 17 * 4 + 10 * 4 == 108
+        sizes = sorted(len(indices) for indices in groups.values())
+        assert sizes.count(64) == 68 and sizes.count(8) == 40
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("randomized-follow-majority", {"n": 7, "f": 2, "c": 2, "seed": 0}),
+            ("naive-majority", {"n": 6, "c": 3, "claimed_resilience": 1}),
+            ("corollary1", {"f": 1, "c": 2}),
+            ("sampled-boosted", {"sample_size": 2}),
+        ],
+    )
+    def test_cells_differing_in_a_kernel_read_parameter_never_pack(self, name, params):
+        from repro.semantics import algorithm_semantics
+
+        semantics = algorithm_semantics(name)
+        base = RunSpec(
+            run_id="base",
+            algorithm=AlgorithmSpec.create(name, params),
+            model=semantics.model,
+        )
+        read = [p for p in semantics.parameters if not p.batch_ignored]
+        assert read
+        for parameter in read:
+            value = dict(base.algorithm.params).get(parameter.name, parameter.default)
+            changed = AlgorithmSpec.create(name, {**params, parameter.name: value + 1})
+            groups, _ = group_runs([base, _vary(base, algorithm=changed)])
+            assert len(groups) == 2, parameter.name
+        for envelope in (
+            {"max_rounds": base.max_rounds + 1},
+            {"stop_after_agreement": 3},
+            {"faulty": (0,), "adversary": "crash"},
+        ):
+            groups, _ = group_runs([base, _vary(base, **envelope)])
+            assert len(groups) == 2, envelope
+
+    def test_cells_differing_only_in_a_batch_ignored_parameter_pack(self):
+        specs = [
+            RunSpec(
+                run_id=f"r{seed}",
+                algorithm=AlgorithmSpec.create(
+                    "randomized-follow-majority", {"n": 7, "f": 2, "seed": seed}
+                ),
+            )
+            for seed in range(3)
+        ]
+        groups, _ = group_runs(specs)
+        assert list(groups.values()) == [[0, 1, 2]]
+
+    def test_packed_results_are_each_members_own_and_unchanged(self):
+        spec = grid_cells_campaign(coin_offsets=range(3), randomized_n=(8, 9))
+        runs = [
+            run for run in spec.expand()
+            if run.algorithm.name == "randomized-follow-majority"
+        ]
+        executor = BatchExecutor(engine="batch")
+        packed = executor.run(runs)
+        assert executor.stats.batched == len(runs)
+        assert len(group_runs(runs)[0]) == 2 * 4
+        for run, result in zip(runs, packed):
+            assert result.run_id == run.run_id
+            assert result.algorithm == run.algorithm.label()
+            assert "seed=" in result.algorithm
+        # Every cell run on its own gives the same stored lines.
+        alone = []
+        for cell in dict.fromkeys(run.algorithm for run in runs):
+            alone += BatchExecutor(engine="batch").run(
+                [run for run in runs if run.algorithm == cell]
+            )
+        assert sorted(r.to_json() for r in alone) == sorted(r.to_json() for r in packed)
+
+    def test_packed_cells_must_agree_on_the_reduced_facts(self, monkeypatch):
+        import repro.campaigns.batching as batching
+        from repro.core.errors import SimulationError
+
+        semantics = batching.ALGORITHM_SEMANTICS["naive-majority"]
+        tampered = dataclasses.replace(
+            semantics,
+            parameters=tuple(
+                dataclasses.replace(p, batch_ignored=p.name == "claimed_resilience")
+                for p in semantics.parameters
+            ),
+        )
+        monkeypatch.setitem(batching.ALGORITHM_SEMANTICS, "naive-majority", tampered)
+        runs = [
+            RunSpec(
+                run_id=f"r{resilience}",
+                algorithm=AlgorithmSpec.create(
+                    "naive-majority", {"n": 7, "claimed_resilience": resilience}
+                ),
+            )
+            for resilience in (1, 2)
+        ]
+        with pytest.raises(SimulationError, match="disagree on"):
+            BatchExecutor(engine="batch").run(runs)
+        executor = BatchExecutor(engine="auto")
+        results = executor.run(runs)
+        assert [result.f for result in results] == [1, 2]
+        assert executor.stats.fallback == 2
+        assert "[+1 packed cell(s)]" in executor.stats.fallback_reasons[0]
+
+
 class TestAutoEngine:
     def test_deterministic_groups_are_batched_and_bit_identical(self):
         runs = deterministic_campaign().expand()
@@ -153,10 +298,11 @@ class TestForcedBatchEngine:
         assert all(result.error is None for result in results)
         assert all(result.rounds_simulated >= 1 for result in results)
         # Randomised batch executions are self-describing in the store:
-        # the rng field records the NumPy stream family.  Scalar runs (and
-        # deterministic batch runs) leave it None.
+        # the rng field names the counter-based generator that drew them.
+        # Scalar runs (and deterministic batch runs) leave it None.
         from repro.network.batch import BATCH_RNG_NOTE
 
+        assert BATCH_RNG_NOTE.startswith("batch:counter-splitmix64 ")
         assert all(result.rng == BATCH_RNG_NOTE for result in results)
         scalar_results = SerialExecutor().run(runs)
         assert all(result.rng is None for result in scalar_results)

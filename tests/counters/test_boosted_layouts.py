@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.phase_king import INFINITY
 from repro.counters.kernels import build_boosted_core
+from repro.util.counter_rng import CounterRNG, DrawSite
 from repro.semantics import build_algorithm
 
 CONFIGS = [
@@ -34,7 +35,8 @@ def core_for(name, params):
 
 def random_states(core, n, seed, batch):
     """Valid states with ∞ registers and mixed ``d`` (``random_fields``)."""
-    states = core.random_fields(np.random.default_rng(seed), (batch, n))
+    rng = CounterRNG(range(seed, seed + batch))
+    states = core.random_fields(rng, DrawSite.RANDOM_STATE_FORGE, (batch, n))
     # Pin a few registers so every draw has reset nodes and both d values.
     states[:, 0, -2:] = (INFINITY, 1)
     states[:, 1, -1] = 0

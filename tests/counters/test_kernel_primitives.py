@@ -9,6 +9,7 @@ element against :func:`repro.core.voting.majority`, plain indexing and
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -110,3 +111,38 @@ def test_vectorized_phase_king_matches_scalar_step(cases):
             c=C,
         )
         assert (int(new_a[0]), int(new_d[0])) == (expected.a, expected.d)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("randomized-follow-majority", {"n": 7, "f": 2, "c": 3}),
+        ("corollary1", {"f": 1}),
+        ("figure2", {"levels": 1}),
+        ("sampled-boosted", {"sample_size": 2}),
+    ],
+)
+def test_random_fields_sample_the_scalar_random_state_distribution(name, params):
+    """``random_fields`` draws valid states, every field over the values the
+    scalar ``random_state`` produces (the ∞ register sentinel included)."""
+    import random
+
+    from repro.network.batch import build_batch_kernel
+    from repro.semantics import build_algorithm
+    from repro.util.counter_rng import CounterRNG, DrawSite
+
+    algorithm = build_algorithm(name, **params)
+    kernel = build_batch_kernel(algorithm)
+    fields = kernel.random_fields(
+        CounterRNG(range(40)), DrawSite.RANDOM_STATE_FORGE, (40, 100)
+    )
+    assert fields.shape == (40, 100, kernel.fields) and fields.dtype == np.int64
+    rows = fields.reshape(-1, kernel.fields)
+    assert all(algorithm.is_valid_state(kernel.decode(row)) for row in rows[:300].tolist())
+    scalar = np.array(
+        [kernel.encode(algorithm.random_state(random.Random(seed))) for seed in range(4000)]
+    )
+    for field in range(kernel.fields):
+        expected = set(scalar[:, field].tolist())
+        if len(expected) <= 10:
+            assert set(rows[:, field].tolist()) == expected, field

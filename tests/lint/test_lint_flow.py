@@ -181,6 +181,26 @@ class TestUnknownLineageFLW001:
         )
         assert report.unwaived() == ()
 
+    def test_counter_rng_constructor_is_the_batch_counter_stream(self, tmp_path):
+        path = tmp_path / "chunk.py"
+        path.write_text(
+            textwrap.dedent(
+                """
+                from repro.util.counter_rng import CounterRNG, DrawSite
+
+                def chunk(seeds):
+                    gen = CounterRNG(seeds)
+                    return gen.integers(DrawSite.LINK_DELAY, 3, (len(seeds), 2))
+                """
+            ),
+            encoding="utf-8",
+        )
+        (flow,) = analyze(context_for(path)).flows.values()
+        (draw,) = flow.draws
+        assert flow.unknown_draws == []
+        assert (draw.lineage.kind, draw.lineage.label) == ("stream", "batch-counter")
+        assert draw.lineage.plane is None
+
     def test_draw_on_self_attribute_bound_from_parameter(self, lint_source):
         report = lint_source(
             """

@@ -163,6 +163,57 @@ class TestRngConstructionDET002:
         assert report.unwaived() == ()
 
 
+    def test_counter_rng_is_sanctioned_in_the_batch_engine(self, fake_package):
+        from repro.lint import run_lint
+
+        root = fake_package("repro.network.batch", COUNTER_RNG_SOURCE)
+        assert run_lint([root], rules=["DET002"]).unwaived() == ()
+
+    def test_counter_rng_outside_the_batch_engine_fires(self, fake_package):
+        from repro.lint import run_lint
+
+        root = fake_package("repro.counters.kernels", COUNTER_RNG_SOURCE)
+        report = run_lint([root], rules=["DET002"])
+        assert rule_ids(report) == ["DET002"]
+        assert "sanctioned batch site" in report.unwaived()[0].message
+
+    def test_stray_default_rng_in_a_shipped_kernel_is_flagged(self, tmp_path):
+        """Seeded violation: the batch engine's own RNG site needs no waiver,
+        and a kernel that builds its own NumPy generator is still caught."""
+        import shutil
+        from pathlib import Path
+
+        from repro.lint import run_lint
+
+        shipped = Path(__file__).resolve().parents[2] / "src" / "repro"
+        assert "allow[DET002]" not in (shipped / "network" / "batch.py").read_text()
+        assert rule_ids(run_lint([shipped], rules=["DET002"])) == []
+
+        sabotaged = tmp_path / "repro"
+        shutil.copytree(shipped, sabotaged)
+        kernels = sabotaged / "counters" / "kernels.py"
+        source = kernels.read_text(encoding="utf-8")
+        needle = "        threshold = algorithm.n - algorithm.f\n"
+        assert source.count(needle) == 1  # RandomizedFollowMajorityBatchKernel.step
+        kernels.write_text(
+            source.replace(needle, needle + "        rng = np.random.default_rng(0)\n"),
+            encoding="utf-8",
+        )
+        report = run_lint([sabotaged], rules=["DET002"])
+        assert rule_ids(report) == ["DET002"]
+        finding = report.unwaived()[0]
+        assert finding.path.endswith("counters/kernels.py")
+        assert "numpy.random.default_rng" in finding.message
+
+
+COUNTER_RNG_SOURCE = """
+    from repro.util.counter_rng import CounterRNG
+
+    def chunk(seeds):
+        return CounterRNG(seeds)
+    """
+
+
 class TestUnorderedIterationDET003:
     def test_for_loop_over_set_parameter_fires(self, lint_source):
         report = lint_source(

@@ -354,6 +354,55 @@ def test_batch_size_chunks_do_not_change_deterministic_results():
     assert whole == chunked
 
 
+@pytest.mark.parametrize(
+    "name, params, strategy, faults",
+    [
+        ("randomized-follow-majority", {"n": 7, "f": 2, "c": 2}, "random-state", 2),
+        ("sampled-boosted", {"sample_size": 2}, "split-state", 1),
+        ("corollary1", {"f": 1, "c": 2}, "phase-king-skew", 1),
+    ],
+)
+def test_batch_size_chunks_do_not_change_randomised_results(
+    name, params, strategy, faults
+):
+    algorithm = _build(name, params)
+    kernel = build_batch_kernel(algorithm)
+    faulty = _spread(algorithm.n, faults)
+    trials = [BatchTrial(sim_seed=seed, faulty=faulty) for seed in range(5)]
+    kwargs = dict(adversary_strategy=strategy, max_rounds=60, stop_after_agreement=6)
+    whole = run_batch_trials(algorithm, kernel, trials, batch_size=256, **kwargs)
+    chunked = run_batch_trials(algorithm, kernel, trials, batch_size=2, **kwargs)
+    assert all(trace.metadata["rng"] == BATCH_RNG_NOTE for trace in whole)
+    assert whole == chunked
+
+
+def test_seeds_differing_above_bit_32_draw_different_trajectories(monkeypatch):
+    """The full 64-bit trial seed keys the batch draws.
+
+    Initial states are pinned to one split configuration, so the two
+    trials differ only in what they draw; seeds equal in their low 32 bits
+    once drew the same values.
+    """
+    import repro.network.batch as batch_module
+
+    monkeypatch.setattr(
+        batch_module,
+        "resolve_initial_states",
+        lambda algorithm, correct, states, rng: {node: node % 8 for node in correct},
+    )
+    algorithm = _build("randomized-follow-majority", {"n": 4, "f": 1, "c": 8})
+    kernel = build_batch_kernel(algorithm)
+    low = 0x2545F491
+    outputs = []
+    for seed in (low, low + (1 << 32)):
+        (trace,) = run_batch_trials(
+            algorithm, kernel, [BatchTrial(sim_seed=seed)], max_rounds=12
+        )
+        assert trace.initial_outputs == {0: 0, 1: 1, 2: 2, 3: 3}
+        outputs.append([record.outputs for record in trace.rounds])
+    assert outputs[0] != outputs[1]
+
+
 def test_mixed_fault_counts_are_rejected():
     algorithm = _build("figure2", {"levels": 1, "c": 2})
     kernel = build_batch_kernel(algorithm)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.network.batch import BatchMessages, PerturbedBatchMessages
+from repro.util.counter_rng import CounterRNG, DrawSite
 
 BATCH, N, FIELDS = 3, 7, 4
 
@@ -84,8 +85,9 @@ def forged_round(strategy, seed=21):
     from repro.semantics import build_algorithm
 
     kernel = build_batch_kernel(build_algorithm("corollary1", f=1))
-    rng = np.random.default_rng(seed)
-    states = kernel.random_fields(rng, (BATCH, FOLD_N))
+    rng = CounterRNG(range(seed, seed + BATCH))
+    states = kernel.random_fields(rng, DrawSite.RANDOM_STATE_FORGE, (BATCH, FOLD_N))
+    rng.start_round(1)
     faulty_idx = np.tile(np.array(FOLD_FAULTY), (BATCH, 1))
     if strategy == "none":
         return states, None, None

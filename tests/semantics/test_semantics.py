@@ -148,6 +148,38 @@ class TestVerify:
         problems = verify(algorithms=tampered)
         assert any("naive-majority" in p and "boosted" in p for p in problems)
 
+    def test_only_the_randomised_counters_seed_is_batch_ignored(self) -> None:
+        declared = {
+            name: sorted(spec.batch_ignored())
+            for name, spec in ALGORITHM_SEMANTICS.items()
+            if spec.batch_ignored()
+        }
+        assert declared == {"randomized-follow-majority": ["seed"]}
+
+    @pytest.mark.parametrize(
+        "name, parameter, symptom",
+        [
+            ("randomized-follow-majority", "c", "(n, f, c, stabilization_bound())"),
+            ("corollary1", "c", "(n, f, c, stabilization_bound())"),
+            ("sampled-boosted", "sample_size", "the batch summaries"),
+        ],
+    )
+    def test_misdeclared_batch_ignored_parameter_is_caught(
+        self, name: str, parameter: str, symptom: str
+    ) -> None:
+        tampered = dict(ALGORITHM_SEMANTICS)
+        tampered[name] = dataclasses.replace(
+            tampered[name],
+            parameters=tuple(
+                dataclasses.replace(p, batch_ignored=p.name == parameter)
+                for p in tampered[name].parameters
+            ),
+        )
+        problems = verify(algorithms=tampered)
+        assert any(
+            name in p and repr(parameter) in p and symptom in p for p in problems
+        ), problems
+
     def test_missing_fuzz_profile_is_caught(self) -> None:
         tampered = dict(ALGORITHM_SEMANTICS)
         tampered["trivial"] = dataclasses.replace(tampered["trivial"], fuzz=())
@@ -337,7 +369,7 @@ class TestSpecPrimitives:
             "bit-identical for flat counters, statistically equivalent "
             "for boosted states"
         )
-        assert STATISTICAL.note() == "statistically equivalent (NumPy RNG)"
+        assert STATISTICAL.note() == "statistically equivalent (counter-based RNG)"
 
     def test_determinism_class_refines_per_kernel(self) -> None:
         from repro.network.batch import build_batch_kernel
