@@ -1,4 +1,5 @@
-"""Observability overhead benchmark: the NullObserver must be free.
+#!/usr/bin/env python
+"""Check that the NullObserver costs nothing on the batch hot path.
 
 The instrumentation contract (see ``repro.obs``) is that the default
 ``observer=None`` / :data:`~repro.obs.NULL_OBSERVER` configuration costs
@@ -7,7 +8,7 @@ nothing on the batch hot path: :func:`~repro.obs.active` normalises both to
 ``is not None`` check per block.  :func:`measure_null_overhead` verifies
 that empirically by interleaved min-of-N timing of
 :func:`repro.network.batch.run_batch_summaries` with ``observer=None``
-versus ``observer=NULL_OBSERVER`` on the headline Figure-1-style workload.
+versus ``observer=NULL_OBSERVER`` on a Figure-1-style workload.
 
 Timing ratios on shared CI runners are noisy, so the measurement
 
@@ -23,40 +24,47 @@ report also shows what turning observation on actually costs.
 
 Usage::
 
-    PYTHONPATH=src:benchmarks python -c \
-        "from bench_obs import measure_null_overhead; \
-         print(measure_null_overhead())"
-    PYTHONPATH=src python scripts/run_benchmarks.py --max-null-overhead 2
+    python scripts/check_null_observer.py    # exit 1 above the 2% budget
 """
 
 from __future__ import annotations
 
+import os
 import random
+import sys
 import time
 from typing import Any
 
-from repro.semantics import build_algorithm
-from repro.network.batch import (
+SCRIPTS_DIR = os.path.dirname(os.path.abspath(__file__))
+REPO_ROOT = os.path.dirname(SCRIPTS_DIR)
+sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+
+from repro.network.batch import (  # noqa: E402
     BatchTrial,
     build_batch_kernel,
     run_batch_summaries,
 )
-from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer
+from repro.obs import NULL_OBSERVER, MetricsRegistry, Observer  # noqa: E402
+from repro.semantics import build_algorithm  # noqa: E402
 
-__all__ = ["build_null_overhead_workload", "measure_null_overhead"]
+#: Trials in the workload, interleaved timings per arm, and whole
+#: comparisons tried before giving up.
+RUNS = 40
+REPEATS = 3
+ATTEMPTS = 4
+
+#: The overhead budget: NullObserver within 2% of no observer at all.
+BUDGET = 0.02
 
 
-def build_null_overhead_workload(runs: int = 120) -> dict[str, Any]:
-    """The headline batch workload as ``run_batch_summaries`` arguments.
+def build_null_overhead_workload() -> dict[str, Any]:
+    """The batch workload as ``run_batch_summaries`` arguments.
 
     The randomised follow-the-majority counter on ``n = 16`` under the
-    random-state adversary — the same configuration as the
-    ``figure1-style-randomized-n16`` benchmark case, i.e. the hot path the
-    <2% overhead budget is defined against.
+    random-state adversary: the hot path the overhead budget is defined
+    against.
     """
-    algorithm = build_algorithm(
-        "randomized-follow-majority", n=16, f=5, c=2
-    )
+    algorithm = build_algorithm("randomized-follow-majority", n=16, f=5, c=2)
     kernel = build_batch_kernel(algorithm)
     if kernel is None:  # pragma: no cover - registry regression guard
         raise RuntimeError("randomized-follow-majority lost its batch kernel")
@@ -66,7 +74,7 @@ def build_null_overhead_workload(runs: int = 120) -> dict[str, Any]:
             sim_seed=rng.randrange(2**31),
             faulty=tuple(sorted(rng.sample(range(16), 5))),
         )
-        for _ in range(runs)
+        for _ in range(RUNS)
     ]
     return {
         "algorithm": algorithm,
@@ -92,37 +100,28 @@ def _time_arm(workload: dict[str, Any], observer: Any) -> float:
     return time.perf_counter() - started
 
 
-def measure_null_overhead(
-    *,
-    runs: int = 120,
-    repeats: int = 5,
-    attempts: int = 3,
-    threshold: float = 0.02,
-) -> dict[str, Any]:
+def measure_null_overhead() -> dict[str, Any]:
     """Measure the NullObserver's batch-hot-path overhead.
 
     Returns a dict with the per-arm minimum wall-clock seconds, the
     ``overhead`` fraction (``null / baseline - 1``), the informational
     ``observed_overhead`` of a live metrics-only observer, and
-    ``within_threshold``.  Keeps the best of ``attempts`` comparisons —
+    ``within_budget``.  Keeps the best of :data:`ATTEMPTS` comparisons —
     see the module docstring for why that is the honest estimator.
     """
-    workload = build_null_overhead_workload(runs)
-    # One warm-up pass keeps one-time costs (NumPy imports, kernel JIT-ish
-    # caches) out of both arms.
+    workload = build_null_overhead_workload()
+    # One warm-up pass keeps one-time costs (NumPy imports, kernel caches)
+    # out of both arms.
     _time_arm(workload, None)
     best: dict[str, Any] | None = None
-    for attempt in range(1, attempts + 1):
+    for attempt in range(1, ATTEMPTS + 1):
         baseline = null = observed = float("inf")
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             baseline = min(baseline, _time_arm(workload, None))
             null = min(null, _time_arm(workload, NULL_OBSERVER))
             live = Observer(metrics=MetricsRegistry(), round_stride=0)
             observed = min(observed, _time_arm(workload, live))
         result = {
-            "workload": "figure1-style-randomized-n16",
-            "runs": runs,
-            "repeats": repeats,
             "attempt": attempt,
             "baseline_seconds": baseline,
             "null_seconds": null,
@@ -132,25 +131,30 @@ def measure_null_overhead(
         }
         if best is None or result["overhead"] < best["overhead"]:
             best = result
-        if best["overhead"] <= threshold:
+        if best["overhead"] <= BUDGET:
             break
     assert best is not None
-    best["threshold"] = threshold
-    best["within_threshold"] = best["overhead"] <= threshold
+    best["within_budget"] = best["overhead"] <= BUDGET
     return best
 
 
-# ---------------------------------------------------------------------- #
-# pytest-benchmark entry point
-# ---------------------------------------------------------------------- #
-
-
-def test_null_observer_overhead(benchmark):
-    """The instrumentation budget: NullObserver within 2% of no observer."""
-    report = benchmark.pedantic(
-        measure_null_overhead,
-        kwargs={"runs": 60, "repeats": 3, "attempts": 4},
-        rounds=1,
-        iterations=1,
+def main() -> int:
+    report = measure_null_overhead()
+    print(
+        f"null-observer overhead: {report['overhead'] * 100:+.2f}% "
+        f"(budget {BUDGET * 100:.1f}%, attempt {report['attempt']}/{ATTEMPTS}; "
+        f"no observer {report['baseline_seconds'] * 1e3:.1f} ms, "
+        f"NullObserver {report['null_seconds'] * 1e3:.1f} ms, "
+        f"live observer {report['observed_overhead'] * 100:+.2f}%)"
     )
-    assert report["within_threshold"], report
+    if not report["within_budget"]:
+        print(
+            f"FAIL: null-observer overhead exceeds the {BUDGET * 100:.1f}% budget",
+            file=sys.stderr,
+        )
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,11 +28,11 @@ Engine semantics:
 
 The executor's stats (the unified
 :class:`~repro.campaigns.executor.ExecutorStats`) report how many runs took
-which path (``batched`` / ``fallback``), which the benchmark harness and the
-CI smoke job use to detect silent fallbacks; with an observer attached the
-same information flows out as :class:`~repro.obs.events.BatchGroupScheduled`
-/ :class:`~repro.obs.events.FallbackTaken` events and ``executor.*``
-counters.
+which path (``batched`` / ``fallback``), which the campaign benchmark's
+output checks and the test suite use to detect silent fallbacks; with an
+observer attached the same information flows out as
+:class:`~repro.obs.events.BatchGroupScheduled` /
+:class:`~repro.obs.events.FallbackTaken` events and ``executor.*`` counters.
 """
 
 from __future__ import annotations

@@ -357,6 +357,12 @@ def _command_run(args: argparse.Namespace) -> int:
 def _command_summarize(args: argparse.Namespace) -> int:
     store = CampaignStore(args.store)
     results = list(store.latest_by_id().values())
+    if store.corrupt_lines:
+        print(
+            f"warning: {store.path} contained {store.corrupt_lines} "
+            "unparseable line(s); they are left out of the summary",
+            file=sys.stderr,
+        )
     if not results:
         print(f"no results in {store.path}")
         return 1

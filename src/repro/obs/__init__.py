@@ -20,7 +20,7 @@ The subsystem has three small parts:
 Guarantees: observers never draw randomness (attaching one cannot change
 any result — enforced by the parity-fuzz suite) and the disabled path costs
 one ``is not None`` check per instrumentation guard (<2% on the batch hot
-path, enforced by ``benchmarks/bench_obs.py``).
+path, enforced by ``scripts/check_null_observer.py``).
 """
 
 from repro.obs.events import (

@@ -9,7 +9,7 @@ the hot paths honest is:
   code normalises its argument once via :func:`active` and then guards every
   measurement with a plain ``if obs is not None`` — so the disabled cost is
   one identity check per guard, which is what the <2% overhead benchmark
-  (``benchmarks/bench_obs.py``) measures.
+  (``scripts/check_null_observer.py``) measures.
 * Observers only *read*.  They never draw from any RNG and never mutate
   simulation state, so attaching one cannot perturb results — the parity
   fuzz harness runs with a recording observer attached to prove it.

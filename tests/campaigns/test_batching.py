@@ -11,7 +11,14 @@ from repro.campaigns.batching import BatchExecutor, group_runs
 from repro.campaigns.executor import SerialExecutor, default_executor
 from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.core.errors import ParameterError
+from repro.network.batch import build_batch_kernel
 from repro.scenarios import Scenario
+from repro.semantics import (
+    active_strategy_names,
+    algorithm_names,
+    algorithm_semantics,
+    build_algorithm,
+)
 
 
 def deterministic_campaign(runs: int = 5) -> CampaignSpec:
@@ -110,8 +117,6 @@ class TestPacking:
         ],
     )
     def test_cells_differing_in_a_kernel_read_parameter_never_pack(self, name, params):
-        from repro.semantics import algorithm_semantics
-
         semantics = algorithm_semantics(name)
         base = RunSpec(
             run_id="base",
@@ -331,6 +336,54 @@ class TestForcedBatchEngine:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ParameterError, match="unknown batch engine"):
             BatchExecutor(engine="warp")
+
+
+def _kernel_covered_profiles():
+    """(name, model, fuzz profile) for every catalogue algorithm with a batch
+    kernel, using its first parity-fuzz profile that tolerates a fault
+    (``trivial`` tolerates none, so no active strategy can pair with it)."""
+    covered = []
+    for name in algorithm_names():
+        semantics = algorithm_semantics(name)
+        profile = next((p for p in semantics.fuzz if p.max_faults), None)
+        if profile is None:
+            continue
+        algorithm = build_algorithm(name, **dict(profile.params))
+        if build_batch_kernel(algorithm) is not None:
+            covered.append(pytest.param(name, semantics.model, profile, id=name))
+    return covered
+
+
+class TestNoSilentFallback:
+    """Every kernel-covered (algorithm, strategy) pair runs vectorised.
+
+    Bit-identical pairs must batch under ``engine="auto"``, where a runtime
+    failure of the batch engine would otherwise be re-run on the scalar
+    engine ("batch execution failed; re-running scalar") with only a
+    fallback count to show for it.  The other pairs must batch under
+    ``engine="batch"``.
+    """
+
+    @pytest.mark.parametrize("strategy", active_strategy_names())
+    @pytest.mark.parametrize("name, model, profile", _kernel_covered_profiles())
+    def test_pair_batches_every_run(self, name, model, profile, strategy):
+        runs = CampaignSpec(
+            name="no-fallback",
+            algorithms=(AlgorithmSpec.create(name, dict(profile.params)),),
+            adversaries=(strategy,),
+            num_faults=(profile.max_faults,),
+            runs_per_setting=2,
+            model=model,
+            max_rounds=min(profile.max_rounds, 60),
+            stop_after_agreement=5,
+        ).expand()
+        kernel = build_batch_kernel(runs[0].algorithm.build())
+        bit_identical = all(BatchExecutor._bit_identical(kernel, run) for run in runs)
+        executor = BatchExecutor(engine="auto" if bit_identical else "batch")
+        results = executor.run(runs)
+        assert executor.stats.fallback == 0, executor.stats.fallback_reasons
+        assert executor.stats.batched == len(runs)
+        assert all(result.error is None for result in results)
 
 
 def perturbed_campaign(**overrides) -> CampaignSpec:

@@ -396,3 +396,25 @@ class TestSummarize:
         missing = str(tmp_path / "empty.jsonl")
         assert main(["summarize", missing]) == 1
         assert "no results" in capsys.readouterr().out
+
+    def test_summarize_reports_corrupt_lines(self, tmp_path, capsys):
+        spec_path = define_small_campaign(tmp_path, runs=1)
+        store_path = tmp_path / "demo.jsonl"
+        main(["run", spec_path, "--store", str(store_path), "--quiet"])
+        capsys.readouterr()
+        with store_path.open("a", encoding="utf-8") as handle:
+            handle.write('{"run_id": "trunc')
+
+        assert main(["summarize", str(store_path)]) == 0
+        captured = capsys.readouterr()
+        assert "Campaign summary" in captured.out
+        assert "1 unparseable line(s)" in captured.err
+
+    def test_summarize_all_corrupt_store(self, tmp_path, capsys):
+        store_path = tmp_path / "corrupt.jsonl"
+        store_path.write_text("{not json\n[1, 2]\n", encoding="utf-8")
+
+        assert main(["summarize", str(store_path)]) == 1
+        captured = capsys.readouterr()
+        assert "no results" in captured.out
+        assert "2 unparseable line(s)" in captured.err
