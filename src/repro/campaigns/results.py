@@ -7,18 +7,21 @@ consume (stabilisation round, agreement fraction, message counts) plus enough
 identifying information to make the record self-describing.
 
 :class:`CampaignStore` persists results as JSON Lines: one canonical-JSON
-record per line, appended and flushed as runs complete.  Because every record
-carries its ``run_id``, an interrupted campaign resumes by skipping the runs
-already present in the store.
+record per line, appended and flushed as runs complete.  A campaign holds one
+append handle for all its writes (:meth:`CampaignStore.writing`) and flushes
+after every record, so each line reaches the file whole.  Because every
+record carries its ``run_id``, an interrupted campaign resumes by skipping
+the runs already present in the store.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
+from typing import IO, TYPE_CHECKING, Any, Iterable, Iterator, Mapping, Sequence
 
 from repro.analysis.metrics import (
     TrialMetrics,
@@ -45,6 +48,9 @@ __all__ = [
 
 
 _REQUIRED = object()
+
+#: The one canonical JSON form of a stored record: sorted keys, no whitespace.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 def _typed(
@@ -157,14 +163,19 @@ class RunResult:
     rng: str | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-dictionary form (tuples become lists)."""
-        data = asdict(self)
+        """Plain-dictionary form (tuples become lists).
+
+        Every field holds a scalar or the ``faulty`` tuple, so reading the
+        attributes by name gives what :func:`dataclasses.asdict` would,
+        without its recursive copy.
+        """
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data["faulty"] = list(self.faulty)
         return data
 
     def to_json(self) -> str:
         """Canonical single-line JSON (sorted keys, no whitespace)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return _CANONICAL.encode(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "RunResult":
@@ -220,6 +231,10 @@ class RunResult:
             agreement_fraction=self.agreement_fraction,
             faulty=self.faulty,
         )
+
+
+#: Field names of :class:`RunResult`, read once for :meth:`RunResult.to_dict`.
+_FIELD_NAMES: tuple[str, ...] = tuple(field.name for field in fields(RunResult))
 
 
 def reduced_facts(algorithm: Any) -> tuple[Any, ...]:
@@ -359,12 +374,14 @@ def reduce_trace(
 class CampaignStore:
     """Append-only JSONL persistence for campaign results.
 
-    One :class:`RunResult` per line.  Appends are flushed immediately so an
-    interrupted campaign loses at most the in-flight run; on resume,
-    :meth:`completed_ids` tells the runner which runs to skip.  Malformed
-    lines (for example a partial line from a hard kill) are skipped — the
-    corresponding runs simply execute again — but never silently:
-    :attr:`corrupt_lines` counts them so the runner can warn on resume.
+    One :class:`RunResult` per line.  Each append writes one whole line and
+    flushes it, so an interrupted campaign loses at most the in-flight run;
+    on resume, :meth:`completed_ids` tells the runner which runs to skip.
+    A campaign holds one append handle for all its records
+    (:meth:`writing`).  Malformed lines (for example a partial line from a
+    hard kill) are skipped — the corresponding runs simply execute again —
+    but never silently: :attr:`corrupt_lines` counts them so the runner can
+    warn on resume.
     """
 
     def __init__(self, path: str | os.PathLike[str]) -> None:
@@ -372,28 +389,52 @@ class CampaignStore:
         #: Number of unparseable lines encountered by the most recent full
         #: read of the store (0 before any read).
         self.corrupt_lines = 0
+        self._handle: IO[str] | None = None
 
     @property
     def path(self) -> Path:
         """Location of the JSONL file."""
         return self._path
 
-    def append(self, result: RunResult) -> None:
-        """Persist one result (creates the file and parents on first use)."""
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        """Hold one append handle open for every :meth:`append` in the scope.
+
+        Opening the scope creates the file and its parents and repairs a
+        partial last line; closing it closes the handle, also when the scope
+        exits by an exception.
+        """
         self._path.parent.mkdir(parents=True, exist_ok=True)
         # A hard kill can leave the file ending in a partial line; appending
         # directly would corrupt the next record too.  Terminate the stray
         # line first so only the partial record is lost (and re-run).
         needs_newline = False
         if self._path.exists() and self._path.stat().st_size > 0:
-            with self._path.open("rb") as handle:
-                handle.seek(-1, os.SEEK_END)
-                needs_newline = handle.read(1) != b"\n"
+            with self._path.open("rb") as tail:
+                tail.seek(-1, os.SEEK_END)
+                needs_newline = tail.read(1) != b"\n"
         with self._path.open("a", encoding="utf-8") as handle:
             if needs_newline:
                 handle.write("\n")
-            handle.write(result.to_json() + "\n")
-            handle.flush()
+                handle.flush()
+            self._handle = handle
+            try:
+                yield
+            finally:
+                self._handle = None
+
+    def append(self, result: RunResult) -> None:
+        """Persist one result as one whole, flushed line.
+
+        Outside a :meth:`writing` scope the append opens a one-record scope
+        of its own.
+        """
+        if self._handle is None:
+            with self.writing():
+                self.append(result)
+            return
+        self._handle.write(result.to_json() + "\n")
+        self._handle.flush()
 
     def __iter__(self) -> Iterator[RunResult]:
         if not self._path.exists():

@@ -4,7 +4,8 @@
 :class:`~repro.campaigns.spec.CampaignSpec` (or takes pre-expanded run
 specs), consults the :class:`~repro.campaigns.results.CampaignStore` for runs
 that already finished, executes only the remainder on the chosen executor,
-appends each result to the store the moment it completes, and returns a
+appends each result to the store the moment it completes (through one
+append handle held for the whole campaign), and returns a
 :class:`CampaignReport` with the full result set in grid order.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import time
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
@@ -173,7 +175,12 @@ def run_campaign(
             progress(done, len(pending), result)
 
     started = time.perf_counter()
-    executed = executor.run(pending, on_result=on_result) if pending else []
+    executed: list[RunResult] = []
+    if pending:
+        # One append handle for the whole campaign; every record is still
+        # one whole line, flushed as its run completes.
+        with store.writing() if store is not None else nullcontext():
+            executed = executor.run(pending, on_result=on_result)
     elapsed = time.perf_counter() - started if pending else 0.0
 
     by_id = dict(recovered)

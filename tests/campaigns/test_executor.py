@@ -3,9 +3,13 @@ bit-identity guarantee the campaign engine is built around."""
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.campaigns.executor import (
     ParallelExecutor,
@@ -16,6 +20,7 @@ from repro.campaigns.results import CampaignStore, RunResult, summarize_results
 from repro.campaigns.runner import run_campaign
 from repro.campaigns.spec import AlgorithmSpec, CampaignSpec, RunSpec
 from repro.counters.trivial import TrivialCounter
+from repro.network.batch import BATCH_RNG_NOTE
 
 
 class ParentOnlyCounter(TrivialCounter):
@@ -427,6 +432,199 @@ class TestCampaignStore:
         assert report.executed == len(runs) - 1
         assert bad.run_id in store.completed_ids()
         summarize_results(store.load())
+
+
+def fully_set_result() -> RunResult:
+    """A result with every optional field set (pulling, recovery, rng, error)."""
+    return RunResult(
+        run_id="cell-07/rep-3",
+        algorithm="sampled-boosted(sample_size=2)",
+        adversary="crash",
+        n=12,
+        f=3,
+        c=2,
+        faulty=(1, 5, 9),
+        sim_seed=2**40 + 17,
+        rounds_simulated=64,
+        stabilized=True,
+        stabilization_round=21,
+        within_bound=False,
+        agreement_fraction=0.671875,
+        stopped_early=True,
+        messages_sent=5104,
+        error="ValueError: r\u00e9sum\u00e9 \u2192 \"quoted\"",
+        model="pulling",
+        max_pulls=11,
+        mean_pulls=9.25,
+        max_bits=88,
+        post_agreement_failure_rate=0.0625,
+        last_perturbation_round=7,
+        recovered=True,
+        recovery_round=30,
+        re_stabilization_time=23,
+        rng=BATCH_RNG_NOTE,
+    )
+
+
+def _optional(values: st.SearchStrategy) -> st.SearchStrategy:
+    return st.none() | values
+
+
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+run_results = st.builds(
+    RunResult,
+    run_id=st.text(),
+    algorithm=st.text(),
+    adversary=st.text(),
+    n=st.integers(),
+    f=st.integers(),
+    c=st.integers(),
+    faulty=st.lists(st.integers(), max_size=6).map(tuple),
+    sim_seed=st.integers(),
+    rounds_simulated=st.integers(),
+    stabilized=st.booleans(),
+    stabilization_round=_optional(st.integers()),
+    within_bound=_optional(st.booleans()),
+    agreement_fraction=_floats,
+    stopped_early=st.booleans(),
+    messages_sent=st.integers(),
+    error=_optional(st.text()),
+    model=st.sampled_from(["broadcast", "pulling"]),
+    max_pulls=_optional(st.integers()),
+    mean_pulls=_optional(_floats),
+    max_bits=_optional(st.integers()),
+    post_agreement_failure_rate=_optional(_floats),
+    last_perturbation_round=_optional(st.integers()),
+    recovered=_optional(st.booleans()),
+    recovery_round=_optional(st.integers()),
+    re_stabilization_time=_optional(st.integers()),
+    rng=_optional(st.text()),
+)
+
+
+class TestCanonicalJson:
+    def test_to_json_is_byte_identical_to_asdict_dumps(self):
+        result = fully_set_result()
+        assert all(
+            getattr(result, field.name) != field.default
+            for field in dataclasses.fields(RunResult)
+            if field.default is not dataclasses.MISSING
+        )
+        expected = json.dumps(
+            {**dataclasses.asdict(result), "faulty": list(result.faulty)},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert result.to_json() == expected
+        assert result.to_dict() == json.loads(expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(run_results)
+    def test_json_round_trip(self, result):
+        text = result.to_json()
+        assert RunResult.from_dict(json.loads(text)).to_json() == text
+
+
+def _descriptors_open_on(path) -> int | None:
+    """How many of this process's file descriptors point at ``path``.
+
+    ``None`` where the platform has no ``/proc/self/fd``.
+    """
+    fd_dir = "/proc/self/fd"
+    if not os.path.isdir(fd_dir):
+        return None
+    target = str(path.resolve())
+    count = 0
+    for name in os.listdir(fd_dir):
+        try:
+            count += os.readlink(os.path.join(fd_dir, name)) == target
+        except OSError:
+            continue
+    return count
+
+
+class TestHeldAppendHandle:
+    def test_partial_tail_gets_exactly_one_repair_at_campaign_start(self, tmp_path):
+        import warnings
+
+        campaign = fixed_campaign(runs_per_setting=2)
+        runs = campaign.expand()
+        store = CampaignStore(tmp_path / "campaign.jsonl")
+        store.path.write_text('{"partial": ', encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = run_campaign(campaign, store=store)
+        assert report.executed == len(runs)
+        text = store.path.read_text(encoding="utf-8")
+        assert text.startswith('{"partial": \n{')
+        assert text.endswith("\n")
+        lines = text.splitlines()
+        assert len(lines) == len(runs) + 1
+        parsed = [RunResult.from_dict(json.loads(line)) for line in lines[1:]]
+        assert sorted(r.run_id for r in parsed) == sorted(r.run_id for r in runs)
+
+    def test_progress_exception_closes_handle_and_resume_runs_the_rest(
+        self, tmp_path
+    ):
+        campaign = fixed_campaign(runs_per_setting=2)
+        runs = campaign.expand()
+        store = CampaignStore(tmp_path / "campaign.jsonl")
+
+        class Interrupt(Exception):
+            pass
+
+        def interrupt_after_three(done, total, result):
+            if done == 3:
+                raise Interrupt
+
+        with pytest.raises(Interrupt):
+            run_campaign(campaign, store=store, progress=interrupt_after_three)
+        assert _descriptors_open_on(store.path) in (0, None)
+        text = store.path.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        stored = [RunResult.from_dict(json.loads(line)) for line in text.splitlines()]
+        assert len(stored) == 3
+
+        executed: list[str] = []
+        report = run_campaign(
+            campaign,
+            store=store,
+            progress=lambda done, total, result: executed.append(result.run_id),
+        )
+        assert report.skipped == 3
+        assert report.executed == len(runs) - 3
+        assert sorted(executed) == sorted(
+            run.run_id for run in runs if run.run_id not in {r.run_id for r in stored}
+        )
+        assert len(store.load()) == len(runs)
+        assert store.corrupt_lines == 0
+
+    def test_append_outside_a_scope_repairs_the_tail(self, tmp_path):
+        store = CampaignStore(tmp_path / "results.jsonl")
+        store.path.write_text('{"partial": ', encoding="utf-8")
+        result = fully_set_result()
+        store.append(result)
+        assert store.path.read_text(encoding="utf-8") == (
+            '{"partial": \n' + result.to_json() + "\n"
+        )
+        assert _descriptors_open_on(store.path) in (0, None)
+
+    def test_every_append_in_a_scope_is_flushed(self, tmp_path):
+        store = CampaignStore(tmp_path / "nested" / "results.jsonl")
+        first = fully_set_result()
+        second = dataclasses.replace(first, run_id="second")
+        with store.writing():
+            store.append(first)
+            assert store.load() == [first]
+            store.append(second)
+            assert store.load() == [first, second]
+            assert _descriptors_open_on(store.path) in (1, None)
+        assert _descriptors_open_on(store.path) in (0, None)
+        assert store.path.read_text(encoding="utf-8") == (
+            first.to_json() + "\n" + second.to_json() + "\n"
+        )
+
 
 class TestRunCampaign:
     def test_persists_and_resumes(self, tmp_path):
