@@ -130,6 +130,7 @@ def compare(
         for sha in (base, head):
             if value is not None and row["sha"].startswith(sha):
                 series.setdefault((row["workload"], sha), []).append(value["value"])
+    sign = 1 if higher_is_better else -1
     report = []
     for workload in dict.fromkeys(row["workload"] for row in rows):
         pairs = list(
@@ -137,21 +138,20 @@ def compare(
         )
         if not pairs:
             continue
-        before = [pair[0] for pair in pairs]
-        after = [pair[1] for pair in pairs]
-        sign = 1 if higher_is_better else -1
-        gain = sign * (statistics.median(after) - statistics.median(before))
+        before = statistics.median(pair[0] for pair in pairs)
+        after = statistics.median(pair[1] for pair in pairs)
+        spread = _quartile_spread([pair[0] for pair in pairs])
         report.append(
             {
                 "workload": workload,
                 "metric": metric,
                 "pairs": len(pairs),
                 "wins": sum(1 for b, a in pairs if sign * (a - b) > 0),
-                "base_median": statistics.median(before),
-                "head_median": statistics.median(after),
-                "ratio": statistics.median(after) / statistics.median(before),
-                "base_iqr": _quartile_spread(before),
-                "clear": gain > _quartile_spread(before),
+                "base_median": before,
+                "head_median": after,
+                "ratio": after / before,
+                "base_iqr": spread,
+                "clear": sign * (after - before) > spread,
             }
         )
     return report
