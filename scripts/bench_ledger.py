@@ -2,11 +2,12 @@
 """Append campaign-benchmark results to the committed ``BENCH_history.jsonl``.
 
 ``run`` invokes the unchanged ``perfbench/run.py`` of a checkout (this one by
-default) for one workload and seed and appends one JSON row to the ledger:
-the benchmark's result line, the results digest, the checkout's git SHA
-(and whether its tree had uncommitted changes) and the host.  ``compare``
-pairs the rows of two SHAs, workload by workload in ledger order, and prints
-the pair statistics a speed claim needs.
+default) for one workload and seed, for the ``run_seconds`` that
+``BENCHMARK.json`` declares, and appends one JSON row to the ledger: the
+benchmark's result line, the results digest, the checkout's git SHA (and
+whether its tree had uncommitted changes) and the host.  A run whose checks
+fail is reported and not recorded.  ``compare`` pairs the rows of two SHAs
+and prints the pair statistics a speed claim needs.
 
 Usage (from the repository root)::
 
@@ -16,8 +17,10 @@ Usage (from the repository root)::
     python scripts/bench_ledger.py compare PARENT_SHA CHANGE_SHA
 
 Alternate ``run`` between the parent's checkout and the change's so both
-arms see the same machine drift; ``compare`` zips the i-th parent row of a
-workload with its i-th change row.
+arms see the same machine drift.  ``compare`` skips rows that failed their
+checks or were measured on a tree with uncommitted changes, and zips the
+i-th parent row of a (workload, seed, seconds, trace) with its i-th change
+row, so a stray row shifts no pair outside its own configuration.
 """
 
 from __future__ import annotations
@@ -120,38 +123,49 @@ def compare(
 ) -> list[dict[str, Any]]:
     """Per-workload pair statistics of ``metric`` for two SHAs (or SHA prefixes).
 
-    The i-th ``base`` row of a workload that reports ``metric`` pairs with
-    its i-th such ``head`` row.  ``clear`` holds when the median moved the
-    good way by more than the spread between the base runs' quartiles.
+    Only clean rows count: checks passed and no uncommitted changes.  The
+    i-th such ``base`` row of a (workload, seed, seconds, trace) that reports
+    ``metric`` pairs with its i-th such ``head`` row.  ``clear`` holds when
+    the head run is better in at least nine pairs of ten and the median
+    moved the good way by more than the spread between the base runs'
+    quartiles.
     """
-    series: dict[tuple[str, str], list[float]] = {}
+    series: dict[tuple[Any, ...], list[float]] = {}
     for row in rows:
         value = row["result"]["metrics"].get(metric)
+        if value is None or row["dirty"] or not row["result"]["correct"]:
+            continue
+        config = (row["workload"], row["seed"], row["seconds"], row["trace"])
         for sha in (base, head):
-            if value is not None and row["sha"].startswith(sha):
-                series.setdefault((row["workload"], sha), []).append(value["value"])
+            if row["sha"].startswith(sha):
+                series.setdefault((sha, *config), []).append(value["value"])
+    pairs_of: dict[str, list[tuple[float, float]]] = {}
+    for (sha, *config), values in series.items():
+        if sha == base:
+            pairs_of.setdefault(config[0], []).extend(
+                zip(values, series.get((head, *config), []))
+            )
     sign = 1 if higher_is_better else -1
     report = []
     for workload in dict.fromkeys(row["workload"] for row in rows):
-        pairs = list(
-            zip(series.get((workload, base), []), series.get((workload, head), []))
-        )
+        pairs = pairs_of.get(workload)
         if not pairs:
             continue
         before = statistics.median(pair[0] for pair in pairs)
         after = statistics.median(pair[1] for pair in pairs)
         spread = _quartile_spread([pair[0] for pair in pairs])
+        wins = sum(1 for b, a in pairs if sign * (a - b) > 0)
         report.append(
             {
                 "workload": workload,
                 "metric": metric,
                 "pairs": len(pairs),
-                "wins": sum(1 for b, a in pairs if sign * (a - b) > 0),
+                "wins": wins,
                 "base_median": before,
                 "head_median": after,
                 "ratio": after / before,
                 "base_iqr": spread,
-                "clear": sign * (after - before) > spread,
+                "clear": wins >= 0.9 * len(pairs) and sign * (after - before) > spread,
             }
         )
     return report
@@ -164,7 +178,6 @@ def main(argv: list[str] | None = None) -> int:
     run = commands.add_parser("run", help="measure once and append one row")
     run.add_argument("--workload", required=True)
     run.add_argument("--seed", type=int, required=True)
-    run.add_argument("--seconds", type=float, default=12.0)
     run.add_argument("--trace", type=int, choices=(0, 1), default=0)
     run.add_argument(
         "--checkout", type=Path, default=REPO_ROOT,
@@ -175,22 +188,32 @@ def main(argv: list[str] | None = None) -> int:
     pairs.add_argument("head")
     pairs.add_argument("--metric", default="runs_per_s")
     args = parser.parse_args(argv)
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
     if args.command == "run":
         code, row = measure(
-            args.checkout.resolve(), args.workload, args.seed, args.seconds, args.trace
+            args.checkout.resolve(),
+            args.workload,
+            args.seed,
+            float(declared["run_seconds"]),
+            args.trace,
         )
-        with args.ledger.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
-        metrics = row["result"]["metrics"]
-        print(
+        summary = (
             f"{row['sha'][:12]} {row['workload']} seed={row['seed']} "
             f"digest={row['digest'][:16]} "
-            + " ".join(f"{name}={entry['value']:.6g}" for name, entry in metrics.items())
+            + " ".join(
+                f"{name}={entry['value']:.6g}"
+                for name, entry in row["result"]["metrics"].items()
+            )
         )
-        return code
+        if code != 0:
+            print(f"checks failed, row not recorded: {summary}", file=sys.stderr)
+            return code
+        with args.ledger.open("a", encoding="utf-8") as handle:
+            handle.write(json.dumps(row, sort_keys=True) + "\n")
+        print(summary)
+        return 0
 
-    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {
         metric["name"]: metric["better"]
         for metric in declared["end_to_end"] + declared["per_layer"]

@@ -22,11 +22,25 @@ def ledger():
     return module
 
 
-def row(sha: str, workload: str, **metrics: float) -> dict:
+def row(
+    sha: str,
+    workload: str,
+    seed: int = 1,
+    dirty: bool = False,
+    correct: bool = True,
+    **metrics: float,
+) -> dict:
     return {
         "sha": sha,
         "workload": workload,
-        "result": {"metrics": {name: {"value": v} for name, v in metrics.items()}},
+        "seed": seed,
+        "seconds": 12.0,
+        "trace": 0,
+        "dirty": dirty,
+        "result": {
+            "correct": correct,
+            "metrics": {name: {"value": v} for name, v in metrics.items()},
+        },
     }
 
 
@@ -42,6 +56,34 @@ def test_compare_pairs_rows_in_ledger_order(ledger):
     assert entry["wins"] == 3
     assert entry["base_median"] == 102.5
     assert entry["head_median"] == 112.0
+
+
+def test_compare_pairs_within_a_configuration_and_skips_unclean_rows(ledger):
+    rows = [
+        row("aaaa1", "grid", seed=1, runs_per_s=100),
+        row("aaaa1", "grid", seed=2, runs_per_s=1000),  # no seed-2 partner
+        row("aaaa1", "grid", seed=1, correct=False, runs_per_s=1),  # failed checks
+        row("aaaa1", "grid", seed=1, dirty=True, runs_per_s=2),  # uncommitted tree
+        row("aaaa1", "grid", seed=1, runs_per_s=110),
+        row("bbbb2", "grid", seed=1, runs_per_s=120),
+        row("bbbb2", "grid", seed=1, runs_per_s=130),
+    ]
+    [entry] = ledger.compare(rows, "aaaa", "bbbb", "runs_per_s", True)
+    assert entry["pairs"] == 2
+    assert entry["wins"] == 2
+    assert entry["base_median"] == 105.0
+    assert entry["head_median"] == 125.0
+
+
+def test_clear_needs_nine_wins_in_ten(ledger):
+    values = [(100, 200)] * 6 + [(100, 99)] * 4
+    rows = []
+    for base, head in values:
+        rows += [row("a", "w", runs_per_s=base), row("b", "w", runs_per_s=head)]
+    [entry] = ledger.compare(rows, "a", "b", "runs_per_s", True)
+    assert entry["wins"] == 6
+    assert entry["head_median"] - entry["base_median"] > entry["base_iqr"]
+    assert not entry["clear"]
 
 
 def test_compare_respects_the_metric_direction(ledger):
@@ -65,4 +107,28 @@ def test_committed_ledger_rows_are_stamped():
         assert re.fullmatch(r"[0-9a-f]{64}", entry["digest"])
         assert entry["workload"] in workloads
         assert entry["host"]["cpus"] >= 1
+        assert entry["result"]["correct"] and not entry["dirty"]
+        assert entry["seconds"] == declared["run_seconds"]
         assert entry["result"]["metrics"]["runs_per_s" if entry["trace"] == 0 else "spec.runs"]
+
+
+def test_run_records_only_passing_runs(ledger, monkeypatch, tmp_path):
+    path = tmp_path / "ledger.jsonl"
+    outcome = {"code": 1}
+    seen = []
+
+    def measure(checkout, workload, seed, seconds, trace):
+        seen.append(seconds)
+        entry = row("c" * 40, workload, correct=outcome["code"] == 0, runs_per_s=10.0)
+        entry["digest"] = "d" * 64
+        return outcome["code"], entry
+
+    monkeypatch.setattr(ledger, "measure", measure)
+    argv = ["--ledger", str(path), "run", "--workload", "grid", "--seed", "1"]
+    assert ledger.main(argv) == 1
+    assert not path.exists()
+    outcome["code"] = 0
+    assert ledger.main(argv) == 0
+    assert len(path.read_text(encoding="utf-8").splitlines()) == 1
+    declared = json.loads((REPO_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert seen == [declared["run_seconds"]] * 2
