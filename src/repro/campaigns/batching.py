@@ -152,7 +152,8 @@ class BatchExecutor:
         multiprocessing executor for them); batched groups always run
         in-process — they are the fast path already.
     batch_size:
-        Trials vectorised together per NumPy batch.
+        Most trials live at once in a group's vectorised round loop (a
+        memory bound; results do not depend on it).
     observer:
         Optional :class:`~repro.obs.observer.Observer`.  Batched groups emit
         :class:`~repro.obs.events.BatchGroupScheduled` /

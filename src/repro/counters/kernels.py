@@ -35,8 +35,8 @@ layout ``(n, 1)`` on the receiver matrix.  Inner levels recurse with one
 vector per block and receiver run, so the shared layout stays shared all
 the way down.
 
-A boosted round is kept to few NumPy calls, because a chunk is often only a
-few dozen trials wide and per-call overhead then dominates:
+A boosted round is kept to few NumPy calls, because a group's live set is
+often only a few dozen trials wide and per-call overhead then dominates:
 
 * the message matrix arrives in one piece — one shared vector
   (:meth:`~repro.network.batch.BatchMessages.shared_vector`), or the view

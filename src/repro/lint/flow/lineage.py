@@ -27,7 +27,7 @@ The batch engine's counter-based generator
 its constructor is a named stream, ``"batch-counter"``, with no plane of its
 own.  It serves algorithm, adversary and loss/delay draws alike, and keeps
 them apart by named draw site rather than by derived stream; DET002 confines
-its construction to the batch engine's chunk loop.
+its construction to the batch engine's group loop.
 
 This module computes, per function, the lineage of every local RNG
 value (a small lattice: named stream < derived < unknown) and records the

@@ -216,7 +216,7 @@ _GLOBAL_DRAWS: frozenset[str] = frozenset(
 
 
 #: The batch engine's counter-based generator, and the one module that may
-#: key it on trial seeds (the chunk loop of the batch engine).
+#: key it on trial seeds (the group loop of the batch engine).
 COUNTER_RNG = "repro.util.counter_rng.CounterRNG"
 COUNTER_RNG_SITES: frozenset[str] = frozenset({"repro.network.batch"})
 
@@ -518,7 +518,7 @@ class KernelPurityRule(Rule):
     id = "DET004"
     title = "kernel classes write no module-level globals"
     rationale = (
-        "batch kernels are dispatched concurrently over chunked trials and "
+        "batch kernels are dispatched concurrently over batched trials and "
         "re-entered across campaigns; a write to module-level state from a "
         "kernel method makes results depend on execution interleaving and "
         "call history — the scope is derived from the catalogue's "

@@ -28,10 +28,12 @@ The moving parts:
   matrix is never copied per receiver; forgeries that are the same for every
   receiver are folded into the shared vector itself
   (:meth:`BatchMessages.folded`).
-* :func:`run_batch_trials` — the batched round loop: per-trial agreement and
-  streak tracking as boolean masks, finished trials frozen (compacted out of
-  the live arrays) while the rest of the batch continues, and finally one
-  :class:`~repro.network.trace.ExecutionTrace` reconstructed per trial.
+* :func:`run_batch_trials` — the batched round loop over one rolling live
+  set of at most ``batch_size`` trials: each live trial carries its own
+  round, agreement and streak (tracked as arrays), a finished trial's row is
+  taken over in place by the next queued trial, the live arrays shrink only
+  once the queue is empty, and finally one
+  :class:`~repro.network.trace.ExecutionTrace` is reconstructed per trial.
 
 Correctness contract
 --------------------
@@ -52,12 +54,12 @@ Correctness contract
   values are not.  Such traces carry an explicit ``rng`` note in their
   metadata (:data:`BATCH_RNG_NOTE`) so downstream consumers can tell the
   streams apart.
-* **Every trial's result is chunk-invariant.**  Each counter-based draw is
-  a pure function of (trial seed, round, draw site, element index within
-  the trial's slice), and nothing else a trial reads depends on the other
-  trials of its chunk.  A trial's summary is therefore the same for any
-  ``batch_size``, any trial order, and when packed with trials of other
-  campaign cells.
+* **Every trial's result is packing-invariant.**  Each counter-based draw
+  is a pure function of (trial seed, the trial's own round, draw site,
+  element index within the trial's slice), and nothing else a trial reads
+  depends on the other live trials.  A trial's summary is therefore the
+  same for any ``batch_size``, any trial order, whichever row and step it
+  is admitted at, and when packed with trials of other campaign cells.
 * **Message-plane perturbations are statistically equivalent.**  The
   ``loss`` / ``delay`` knobs replay the scalar staleness model of
   :func:`repro.faults.runtime.run_perturbed_round` — per-link draws from
@@ -247,14 +249,16 @@ class BatchKernel(_KernelBase):
 
     @abstractmethod
     def step(
-        self, view: "BatchMessages", round_index: int, rng: CounterRNG
+        self, view: "BatchMessages", round_index: np.ndarray, rng: CounterRNG
     ) -> np.ndarray:
         """Map the round's received messages to successor states.
 
-        Returns the new ``(B, n, fields)`` state array for *all* ``n``
-        columns; the engine ignores the faulty columns (their values are
-        placeholders — every read of a faulty sender goes through the
-        forgery patches in ``view``).
+        ``round_index`` holds each live trial's own round, ``(B,)``: trials
+        admitted into the rows of finished ones start at round zero while
+        the others continue.  Returns the new ``(B, n, fields)`` state array
+        for *all* ``n`` columns; the engine ignores the faulty columns
+        (their values are placeholders — every read of a faulty sender goes
+        through the forgery patches in ``view``).
         """
 
 
@@ -267,10 +271,12 @@ class PullBatchKernel(_KernelBase):
     def step(
         self,
         network: "BatchPullNetwork",
-        round_index: int,
+        round_index: np.ndarray,
         rng: CounterRNG,
     ) -> tuple[np.ndarray, int]:
         """One pulling round: draw targets, pull responses, update states.
+
+        ``round_index`` holds each live trial's own round, ``(B,)``.
 
         Returns ``(new_states, pulls_per_node)`` where ``pulls_per_node`` is
         the (deterministic) number of pulls every node issued this round —
@@ -480,7 +486,11 @@ class PerturbedBatchMessages(BatchMessages):
 
 
 def _delayed_deliveries(
-    history: list[np.ndarray], loss: float, delay: int, rng: CounterRNG
+    history: list[np.ndarray],
+    ages: np.ndarray,
+    loss: float,
+    delay: int,
+    rng: CounterRNG,
 ) -> np.ndarray:
     """Per-link delivered sender states under loss/delay: ``(B, n, n, fields)``.
 
@@ -489,8 +499,9 @@ def _delayed_deliveries(
     sender)`` link independently delivers the sender's start-of-round state
     from ``Uniform{0..delay}`` rounds ago, one round staler again with
     probability ``loss``; self-links always deliver the current state, and
-    early rounds clamp to the oldest recorded snapshot.  ``history[0]`` is
-    the current round's start-of-round states.
+    a trial's early rounds clamp to its own oldest snapshot — its initial
+    state, ``ages`` rounds back (a row may have held another trial before).
+    ``history[0]`` is the current step's start-of-round states.
     """
     batch, n = history[0].shape[0], history[0].shape[1]
     staleness = np.zeros((batch, n, n), dtype=np.int64)
@@ -500,7 +511,8 @@ def _delayed_deliveries(
         staleness += rng.random(DrawSite.LINK_LOSS, (batch, n, n)) < loss
     diagonal = np.arange(n)
     staleness[:, diagonal, diagonal] = 0
-    np.minimum(staleness, len(history) - 1, out=staleness)
+    oldest = np.minimum(ages, len(history) - 1)
+    np.minimum(staleness, oldest[:, None, None], out=staleness)
     stack = np.stack(history, axis=0)
     bidx = np.arange(batch)[:, None, None]
     sidx = np.arange(n)[None, None, :]
@@ -508,7 +520,10 @@ def _delayed_deliveries(
 
 
 class BatchPullNetwork:
-    """The pulling round's response oracle: gather states, patch forgeries."""
+    """The pulling round's response oracle: gather states, patch forgeries.
+
+    ``round_index`` holds each live trial's own round, ``(B,)``.
+    """
 
     def __init__(
         self,
@@ -516,7 +531,7 @@ class BatchPullNetwork:
         faulty_lookup: np.ndarray | None,
         adversary: "AdversaryBatchKernel | None",
         correct_sorted: np.ndarray,
-        round_index: int,
+        round_index: np.ndarray,
         rng: CounterRNG,
     ) -> None:
         self.states = states
@@ -561,9 +576,10 @@ class BatchPullNetwork:
 class AdversaryBatchKernel(ABC):
     """Vectorised Byzantine forgery for one strategy.
 
-    The engine calls :meth:`begin_round` once per round, then :meth:`forge`
+    The engine calls :meth:`begin_round` once per step, then :meth:`forge`
     with broadcastable ``(B, ...)`` index arrays of faulty senders and their
-    receivers.  The returned field vectors must already be *coerced* — i.e.
+    receivers.  Both receive ``round_index`` as each live trial's own round,
+    ``(B,)``.  The returned field vectors must already be *coerced* — i.e.
     valid encodings under the algorithm kernel — matching the scalar engine,
     which pipes every forgery through ``algorithm.coerce_message``.
     """
@@ -591,7 +607,7 @@ class AdversaryBatchKernel(ABC):
 
     def begin_round(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
         rng: CounterRNG,
@@ -601,7 +617,7 @@ class AdversaryBatchKernel(ABC):
     @abstractmethod
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -645,7 +661,7 @@ class CrashBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -674,7 +690,7 @@ class FixedStateBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -692,7 +708,7 @@ class RandomStateBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -714,7 +730,7 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
 
     def begin_round(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
         rng: CounterRNG,
@@ -727,7 +743,7 @@ class SplitStateBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -749,7 +765,7 @@ class MimicBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -758,12 +774,10 @@ class MimicBatchKernel(AdversaryBatchKernel):
     ) -> np.ndarray:
         shape = np.broadcast_shapes(senders.shape, receivers.shape)
         num_correct = correct_sorted.shape[1]
-        position = np.broadcast_to(
-            (receivers + round_index) % num_correct, shape
-        )
-        batch = states.shape[0]
-        bidx = np.arange(batch).reshape((batch,) + (1,) * (len(shape) - 1))
-        bidx = np.broadcast_to(bidx, shape)
+        # Each trial rotates by its own round (batch axis first).
+        rounds = np.reshape(round_index, (-1,) + (1,) * (len(shape) - 1))
+        position = np.broadcast_to((receivers + rounds) % num_correct, shape)
+        bidx = _batch_index(states.shape[0], shape)
         victims = correct_sorted[bidx, position]
         return states[bidx, victims]
 
@@ -790,7 +804,7 @@ class PhaseKingSkewBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -851,7 +865,7 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
 
     def begin_round(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         states: np.ndarray,
         correct_sorted: np.ndarray,
         rng: CounterRNG,
@@ -884,7 +898,7 @@ class AdaptiveSplitBatchKernel(AdversaryBatchKernel):
 
     def forge(
         self,
-        round_index: int,
+        round_index: np.ndarray,
         senders: np.ndarray,
         receivers: np.ndarray,
         states: np.ndarray,
@@ -1046,32 +1060,28 @@ def run_batch_trials(
     perturbed round uses.  Perturbed runs always draw randomness, so they
     are statistically — never bit — equivalent to scalar runs.
 
-    ``batch_size`` bounds the number of trials vectorised together (memory
-    only: every trial's result is the same for any ``batch_size`` and any
-    trial order, randomised ones included).
+    ``batch_size`` bounds the number of trials live at once (memory only:
+    every trial's result is the same for any ``batch_size`` and any trial
+    order, randomised ones included).
     ``observer`` attaches :mod:`repro.obs` instrumentation (step timers,
     throughput counters, sampled ``round_observed`` events); observers only
     read, so results are unchanged by one.
     """
-    traces: list[ExecutionTrace] = []
-    for chunk in _chunked(
-        trials, batch_size, max_rounds, stop_after_agreement, loss, delay
-    ):
-        chunk_traces, _ = _run_chunk(
-            algorithm,
-            kernel,
-            chunk,
-            adversary_strategy,
-            dict(adversary_params or {}),
-            max_rounds,
-            stop_after_agreement,
-            loss=loss,
-            delay=delay,
-            record_outputs=True,
-            observer=observer,
-        )
-        assert chunk_traces is not None
-        traces.extend(chunk_traces)
+    traces, _ = _run_group(
+        algorithm,
+        kernel,
+        trials,
+        adversary_strategy,
+        dict(adversary_params or {}),
+        max_rounds,
+        stop_after_agreement,
+        batch_size,
+        record_outputs=True,
+        loss=loss,
+        delay=delay,
+        observer=observer,
+    )
+    assert traces is not None
     return traces
 
 
@@ -1096,36 +1106,32 @@ def run_batch_summaries(
     path :class:`repro.campaigns.batching.BatchExecutor` takes; per-round
     outputs are never materialised as Python dictionaries.
     """
-    summaries: list[BatchRunSummary] = []
-    for chunk in _chunked(
-        trials, batch_size, max_rounds, stop_after_agreement, loss, delay
-    ):
-        _, chunk_summaries = _run_chunk(
-            algorithm,
-            kernel,
-            chunk,
-            adversary_strategy,
-            dict(adversary_params or {}),
-            max_rounds,
-            stop_after_agreement,
-            loss=loss,
-            delay=delay,
-            record_outputs=False,
-            observer=observer,
-        )
-        summaries.extend(chunk_summaries)
+    _, summaries = _run_group(
+        algorithm,
+        kernel,
+        trials,
+        adversary_strategy,
+        dict(adversary_params or {}),
+        max_rounds,
+        stop_after_agreement,
+        batch_size,
+        record_outputs=False,
+        loss=loss,
+        delay=delay,
+        observer=observer,
+    )
     return summaries
 
 
-def _chunked(
+def _check_parameters(
     trials: Sequence[BatchTrial],
     batch_size: int,
     max_rounds: int,
     stop_after_agreement: int | None,
-    loss: float = 0.0,
-    delay: int = 0,
-) -> list[Sequence[BatchTrial]]:
-    """Validate the shared parameters and slice the trials into chunks."""
+    loss: float,
+    delay: int,
+) -> None:
+    """Validate the parameters every trial of a group shares."""
     if max_rounds < 1:
         raise SimulationError(f"max_rounds must be positive, got {max_rounds}")
     if stop_after_agreement is not None and stop_after_agreement < 1:
@@ -1144,13 +1150,9 @@ def _chunked(
             "all trials of one batch must have the same number of faults, "
             f"got {sorted(fault_counts)}"
         )
-    return [
-        trials[start : start + batch_size]
-        for start in range(0, len(trials), batch_size)
-    ]
 
 
-def _run_chunk(
+def _run_group(
     algorithm: Any,
     kernel: BatchKernel | PullBatchKernel,
     trials: Sequence[BatchTrial],
@@ -1158,13 +1160,25 @@ def _run_chunk(
     adversary_params: dict[str, Any],
     max_rounds: int,
     window: int | None,
+    batch_size: int,
     record_outputs: bool,
     loss: float = 0.0,
     delay: int = 0,
     observer: Any = None,
 ) -> tuple[list[ExecutionTrace] | None, list[BatchRunSummary]]:
-    """Vectorised execution of one chunk of trials."""
-    batch = len(trials)
+    """Vectorised execution of one group, at most ``batch_size`` trials live.
+
+    The trials form a queue.  Each step advances every live trial by one of
+    its own rounds; the rows of trials that finish are taken over in place
+    by queued trials, and the live arrays shrink only once the queue is
+    empty.  A group no larger than ``batch_size`` is a queue that empties at
+    the first step.
+    """
+    _check_parameters(trials, batch_size, max_rounds, window, loss, delay)
+    if not trials:
+        return ([] if record_outputs else None), []
+    total = len(trials)
+    width = min(batch_size, total)
     n = algorithm.n
     c = algorithm.c
     fields = kernel.fields
@@ -1177,11 +1191,6 @@ def _run_chunk(
         )
     num_faults = len(trials[0].faulty)
 
-    # ------------------------------------------------------------------ #
-    # Per-trial setup: adversaries, RNG streams, initial states, traces.
-    # The initial states come from exactly the streams the scalar engine
-    # derives, so deterministic runs are bit-identical from round zero.
-    # ------------------------------------------------------------------ #
     adversary_kernel: AdversaryBatchKernel | None = None
     if num_faults:
         if strategy is None:
@@ -1189,100 +1198,104 @@ def _run_chunk(
                 "batched trials list faulty nodes but no adversary strategy"
             )
         adversary_kernel = build_adversary_kernel(strategy, kernel, adversary_params)
-
-    default = kernel.default_fields()
-    states = np.empty((batch, n, fields), dtype=np.int64)
-    states[:, :, :] = default
-    sender_ok = np.ones((batch, n), dtype=bool)
-    faulty_idx = (
-        np.empty((batch, num_faults), dtype=np.int64) if num_faults else None
-    )
-    correct_sorted = np.empty((batch, n - num_faults), dtype=np.int64)
-    correct_lists: list[list[int]] = []
-    traces: list[ExecutionTrace] = []
-
-    stream_names = (
-        ("initial-states", "adversary", "sampling")
-        if pulling
-        else ("initial-states", "adversary")
-    )
     randomized = perturbed or not (
         kernel.deterministic
         and (adversary_kernel is None or adversary_kernel.deterministic)
     )
 
+    # The live arrays: one row per live trial.
+    default = kernel.default_fields()
+    states = np.empty((width, n, fields), dtype=np.int64)
+    sender_ok = np.ones((width, n), dtype=bool)
+    faulty_idx = (
+        np.empty((width, num_faults), dtype=np.int64) if num_faults else None
+    )
+    correct_sorted = np.empty((width, n - num_faults), dtype=np.int64)
+    # Per-trial facts, appended in admission (= trial) order.
     faulty_tuples: list[tuple[int, ...]] = []
-    for index, trial in enumerate(trials):
-        adversary = (
-            build_adversary(strategy, trial.faulty, **adversary_params)
-            if strategy is not None
-            else NoAdversary()
-        )
-        adversary.validate(algorithm)
-        faulty = sorted(adversary.faulty)
-        faulty_tuples.append(tuple(faulty))
-        correct = [node for node in range(n) if node not in adversary.faulty]
-        correct_lists.append(correct)
-        correct_sorted[index] = correct
-        if faulty_idx is not None:
-            faulty_idx[index] = faulty
-            sender_ok[index, faulty] = False
+    correct_lists: list[list[int]] = []
+    traces: list[ExecutionTrace] = []
 
-        # Only the first derived stream feeds the batch path (the kernels
-        # replace the adversary/sampling streams with counter-based draws), and
-        # later derivations cannot influence an already-derived stream — so
-        # deriving just "initial-states" is bit-exact and skips constructing
-        # the unused generators.
-        init_rng = derive_streams(ensure_rng(trial.sim_seed), stream_names[0])[0]
-        initial = resolve_initial_states(algorithm, correct, None, init_rng)
-        for node in correct:
-            states[index, node] = kernel.encode(initial[node])
+    def admit(rows: np.ndarray) -> None:
+        """Set up the next queued trials in ``rows`` of the live arrays.
 
-        if record_outputs:
-            metadata: dict[str, Any] = dict(trial.metadata)
-            if pulling:
-                metadata["model"] = "pulling"
-            metadata["adversary"] = adversary.describe()
-            metadata["seed"] = trial.sim_seed
-            metadata["max_rounds"] = max_rounds
-            if perturbed:
-                # Same shape as the scalar Perturbations.describe() stamp.
-                metadata["perturbations"] = {"loss": loss, "delay": delay}
-            if randomized:
-                metadata["rng"] = BATCH_RNG_NOTE
-            traces.append(
-                ExecutionTrace(
-                    algorithm_name=algorithm.info.name,
-                    n=n,
-                    c=c,
-                    faulty=adversary.faulty,
-                    initial_outputs={
-                        node: algorithm.output(node, initial[node]) for node in correct
-                    },
-                    metadata=metadata,
-                )
+        The initial states come from exactly the streams the scalar engine
+        derives, so deterministic runs are bit-identical from round zero.
+        """
+        states[rows] = default
+        sender_ok[rows] = True
+        for row in rows.tolist():
+            trial = trials[len(correct_lists)]
+            adversary = (
+                build_adversary(strategy, trial.faulty, **adversary_params)
+                if strategy is not None
+                else NoAdversary()
             )
+            adversary.validate(algorithm)
+            faulty = sorted(adversary.faulty)
+            faulty_tuples.append(tuple(faulty))
+            correct = [node for node in range(n) if node not in adversary.faulty]
+            correct_lists.append(correct)
+            correct_sorted[row] = correct
+            if faulty_idx is not None:
+                faulty_idx[row] = faulty
+                sender_ok[row, faulty] = False
 
-    # Every draw is keyed on its own trial's seed, so no trial's values
-    # depend on the other trials of the chunk.
-    rng = CounterRNG([trial.sim_seed for trial in trials])
+            # Only the first derived stream feeds the batch path (the kernels
+            # replace the adversary/sampling streams with counter-based
+            # draws), and later derivations cannot influence an
+            # already-derived stream — so deriving just "initial-states" is
+            # bit-exact and skips constructing the unused generators.
+            init_rng = derive_streams(ensure_rng(trial.sim_seed), "initial-states")[0]
+            initial = resolve_initial_states(algorithm, correct, None, init_rng)
+            for node in correct:
+                states[row, node] = kernel.encode(initial[node])
 
-    faulty_lookup = None
-    if pulling and num_faults:
-        faulty_lookup = ~sender_ok
+            if record_outputs:
+                metadata: dict[str, Any] = dict(trial.metadata)
+                if pulling:
+                    metadata["model"] = "pulling"
+                metadata["adversary"] = adversary.describe()
+                metadata["seed"] = trial.sim_seed
+                metadata["max_rounds"] = max_rounds
+                if perturbed:
+                    # Same shape as the scalar Perturbations.describe() stamp.
+                    metadata["perturbations"] = {"loss": loss, "delay": delay}
+                if randomized:
+                    metadata["rng"] = BATCH_RNG_NOTE
+                traces.append(
+                    ExecutionTrace(
+                        algorithm_name=algorithm.info.name,
+                        n=n,
+                        c=c,
+                        faulty=adversary.faulty,
+                        initial_outputs={
+                            node: algorithm.output(node, initial[node])
+                            for node in correct
+                        },
+                        metadata=metadata,
+                    )
+                )
+
+    admit(np.arange(width))
+    # Every draw is keyed on its own trial's seed and round, so no trial's
+    # values depend on the other live trials.
+    rng = CounterRNG([trial.sim_seed for trial in trials[:width]])
+    faulty_lookup = ~sender_ok if pulling and num_faults else None
 
     # ------------------------------------------------------------------ #
-    # The batched round loop.  ``active`` maps live array rows to trial
-    # indices; finished trials are frozen by compacting them out, so the
-    # batch keeps shrinking as the agreement window fires per trial.
+    # The rolling round loop.  ``active`` maps live rows to trial indices
+    # and ``ages`` holds each live trial's own round; a finished trial's
+    # row is refilled from the queue, or compacted out once it is empty.
     # ------------------------------------------------------------------ #
-    active = np.arange(batch)
-    prev = np.full(batch, _DISAGREE, dtype=np.int64)
-    streak = np.zeros(batch, dtype=np.int64)
+    active = np.arange(width)
+    ages = np.zeros(width, dtype=np.int64)
+    prev = np.full(width, _DISAGREE, dtype=np.int64)
+    streak = np.zeros(width, dtype=np.int64)
     #: Past start-of-round state snapshots (newest first), compacted with
     #: the live arrays; only maintained when loss/delay is active.
     history: list[np.ndarray] | None = [] if perturbed else None
-    #: Per round: (trial indices, agreed values, outputs, pulls per node).
+    #: Per step: (trial indices, agreed values, outputs, pulls per node).
     recorded: list[
         tuple[np.ndarray, np.ndarray, np.ndarray | None, int | None]
     ] = []
@@ -1290,38 +1303,34 @@ def _run_chunk(
     stop_info: dict[int, tuple[bool, int]] = {}
 
     # Observation: the disabled path costs one ``is not None`` check per
-    # round (the hot-path contract the NullObserver overhead benchmark
+    # step (the hot-path contract the NullObserver overhead benchmark
     # enforces); the step timer and the stride gate do the rest only when
     # an active observer is attached.
     obs = _active_observer(observer)
     stride = obs.round_stride if obs is not None else 0
     step_timer = obs.metrics.histogram("batch.step_seconds") if obs is not None else None
     trial_rounds = 0
-    chunk_started = time.perf_counter() if obs is not None else 0.0
+    group_started = time.perf_counter() if obs is not None else 0.0
 
-    for round_index in range(max_rounds):
+    step = 0
+    while True:
         if step_timer is not None:
             step_started = time.perf_counter()
-        rng.start_round(round_index)
+        rng.start_round(ages)
         if adversary_kernel is not None:
-            adversary_kernel.begin_round(round_index, states, correct_sorted, rng)
+            adversary_kernel.begin_round(ages, states, correct_sorted, rng)
         pulls: int | None = None
         if pulling:
             network = BatchPullNetwork(
-                states,
-                faulty_lookup,
-                adversary_kernel,
-                correct_sorted,
-                round_index,
-                rng,
+                states, faulty_lookup, adversary_kernel, correct_sorted, ages, rng
             )
             assert isinstance(kernel, PullBatchKernel)
-            states, pulls = kernel.step(network, round_index, rng)
+            states, pulls = kernel.step(network, ages, rng)
         else:
             forged = None
             if adversary_kernel is not None and faulty_idx is not None:
                 forged = adversary_kernel.forge(
-                    round_index,
+                    ages,
                     faulty_idx[:, None, :],
                     np.arange(n)[None, :, None],
                     states,
@@ -1330,16 +1339,16 @@ def _run_chunk(
                 )
             view: BatchMessages
             if history is not None:
-                # history[0] is this round's start-of-round states; the
+                # history[0] is this step's start-of-round states; the
                 # staleness draws never reach past delay + 1 snapshots.
                 history.insert(0, states)
                 del history[delay + 2 :]
-                delivered = _delayed_deliveries(history, loss, delay, rng)
+                delivered = _delayed_deliveries(history, ages, loss, delay, rng)
                 view = PerturbedBatchMessages(states, faulty_idx, forged, delivered)
             else:
                 view = BatchMessages.folded(states, faulty_idx, forged)
             assert isinstance(kernel, BatchKernel)
-            states = kernel.step(view, round_index, rng)
+            states = kernel.step(view, ages, rng)
 
         outputs = kernel.outputs(states)
         if step_timer is not None:
@@ -1352,18 +1361,22 @@ def _run_chunk(
         reference = outputs[np.arange(live), correct_sorted[:, 0]]
         agree = np.all((outputs == reference[:, None]) | ~sender_ok, axis=1)
         agreed = np.where(agree, reference, _DISAGREE)
-        recorded.append((active, agreed, outputs if record_outputs else None, pulls))
+        # Outputs may be a view of ``states``, whose rows refills overwrite.
+        recorded.append(
+            (active, agreed, outputs.copy() if record_outputs else None, pulls)
+        )
         if obs is not None:
             trial_rounds += live
-            if stride and round_index % stride == 0:
+            if stride and step % stride == 0:
                 obs.emit(
                     RoundObserved(
                         source="batch",
-                        round_index=round_index,
+                        round_index=step,
                         live_trials=live,
                         agreed_trials=int((agreed >= 0).sum()),
                     )
                 )
+        step += 1
         window_fired = np.zeros(live, dtype=bool)
         if window is not None:
             advanced = (prev >= 0) & (agreed >= 0) & ((prev + 1) % c == agreed)
@@ -1371,26 +1384,50 @@ def _run_chunk(
             prev = agreed
             window_fired = streak >= window
 
-        cap_fired = round_index + 1 >= max_rounds
-        finished = window_fired | cap_fired
+        ages = ages + 1
+        finished = window_fired | (ages >= max_rounds)
         if not finished.any():
             continue
-        for position in np.nonzero(finished)[0]:
+        rows = np.flatnonzero(finished)
+        for position in rows.tolist():
             # The window takes precedence over the round cap on ties,
             # matching FirstOf(AgreementWindow, MaxRounds).
             stop_info[int(active[position])] = (
                 bool(window_fired[position]),
                 int(streak[position]),
             )
+        admitted = min(len(rows), total - len(correct_lists))
+        if admitted:
+            refill, rows = rows[:admitted], rows[admitted:]
+            first = len(correct_lists)
+            if not states.flags.writeable:
+                states = states.copy()
+            admit(refill)
+            rng.admit(refill, [trial.sim_seed for trial in trials[first : first + admitted]])
+            if faulty_lookup is not None:
+                faulty_lookup[refill] = ~sender_ok[refill]
+            # ``recorded`` holds this step's ``active`` and ``agreed`` (which
+            # ``prev`` is), so both are replaced, never written to.
+            active = active.copy()
+            active[refill] = np.arange(first, first + admitted)
+            prev = prev.copy()
+            prev[refill] = _DISAGREE
+            ages[refill] = 0
+            streak[refill] = 0
         if obs is not None:
             metrics = obs.metrics
-            metrics.counter("batch.compactions").inc()
             metrics.counter("batch.trials_finished").inc(int(finished.sum()))
-            metrics.gauge("batch.live_trials").set(int((~finished).sum()))
-        keep = ~finished
-        if not keep.any():
+            metrics.gauge("batch.live_trials").set(live - len(rows))
+            if len(rows):
+                metrics.counter("batch.compactions").inc()
+        if not len(rows):
+            continue
+        if len(rows) == live:
             break
+        keep = np.ones(live, dtype=bool)
+        keep[rows] = False
         active = active[keep]
+        ages = ages[keep]
         rng.compact(keep)
         states = states[keep]
         sender_ok = sender_ok[keep]
@@ -1405,29 +1442,29 @@ def _run_chunk(
             history = [snapshot[keep] for snapshot in history]
 
     if obs is not None:
-        chunk_seconds = time.perf_counter() - chunk_started
+        group_seconds = time.perf_counter() - group_started
         metrics = obs.metrics
         metrics.counter("batch.chunks").inc()
-        metrics.counter("batch.trials").inc(batch)
+        metrics.counter("batch.trials").inc(total)
         metrics.counter("batch.rounds").inc(len(recorded))
         metrics.counter("batch.trial_rounds").inc(trial_rounds)
-        metrics.histogram("batch.chunk_seconds").observe(chunk_seconds)
-        if chunk_seconds > 0:
+        metrics.histogram("batch.chunk_seconds").observe(group_seconds)
+        if group_seconds > 0:
             metrics.gauge("batch.trial_rounds_per_second").set(
-                trial_rounds / chunk_seconds
+                trial_rounds / group_seconds
             )
 
     # ------------------------------------------------------------------ #
-    # Per-trial reductions.  Trials all start at round zero and drop out
-    # when they stop, so the global round index is the per-trial round
-    # index.  The agreed-value sequences feed the summaries (and, when
-    # requested, full ExecutionTrace objects are rebuilt from the recorded
-    # output rows).
+    # Per-trial reductions.  A trial appears in every step from its
+    # admission to its stop, so its recorded rows, in step order, are its
+    # rounds 0, 1, 2, ...  The agreed-value sequences feed the summaries
+    # (and, when requested, full ExecutionTrace objects are rebuilt from
+    # the recorded output rows).
     # ------------------------------------------------------------------ #
     bits = algorithm.message_bits() if pulling else 0
-    agreed_per_trial: list[list[int]] = [[] for _ in range(batch)]
+    agreed_per_trial: list[list[int]] = [[] for _ in range(total)]
     pulls_per_trial: int | None = None
-    for round_index, (ids, agreed, outputs, pulls) in enumerate(recorded):
+    for ids, agreed, outputs, pulls in recorded:
         if pulls is not None:
             pulls_per_trial = pulls
         agreed_values = agreed.tolist()
@@ -1437,9 +1474,9 @@ def _run_chunk(
         if not record_outputs:
             continue
         assert outputs is not None
-        rows = outputs.tolist()
+        rows_list = outputs.tolist()
         for position, trial_index in enumerate(id_list):
-            values = rows[position]
+            values = rows_list[position]
             record_metadata: dict[str, Any]
             if pulls is not None:
                 record_metadata = {
@@ -1451,7 +1488,7 @@ def _run_chunk(
                 record_metadata = {}
             traces[trial_index].append(
                 RoundRecord(
-                    round_index=round_index,
+                    round_index=len(agreed_per_trial[trial_index]) - 1,
                     outputs={
                         node: values[node] for node in correct_lists[trial_index]
                     },
@@ -1461,7 +1498,7 @@ def _run_chunk(
             )
 
     summaries: list[BatchRunSummary] = []
-    for trial_index in range(batch):
+    for trial_index in range(total):
         stopped_early, final_streak = stop_info[trial_index]
         summaries.append(
             BatchRunSummary(

@@ -136,7 +136,10 @@ class RoundObserved(Event):
 
     ``source`` is ``"engine"`` (scalar round loop; ``agreed_value`` is the
     common output when all correct nodes agree) or ``"batch"`` (vectorised
-    chunk; ``live_trials``/``agreed_trials`` describe the whole chunk).
+    group; ``live_trials``/``agreed_trials`` describe the live set).  For a
+    batch event ``round_index`` is the group's loop step, not any trial's
+    round: each live trial has its own round, and trials admitted into the
+    rows of finished ones start at round zero.
     """
 
     kind: ClassVar[str] = "round_observed"

@@ -8,7 +8,7 @@ registry is deliberately tiny and dependency-free:
 * **Counters** are monotonically increasing integers (runs completed, rounds
   simulated, fallbacks taken).
 * **Gauges** record the latest value of a quantity (live trials in a batch,
-  trial-rounds per second of the last chunk).
+  trial-rounds per second of the last batch group).
 * **Histograms** are *sketches*, not sample lists: each observation lands in
   a power-of-two bucket, so a million-run campaign costs a handful of ints
   per metric while count / sum / min / max stay exact and quantiles are

@@ -104,9 +104,10 @@ def _batch_rng_consumed(kernel_cls: Any, kernel: Any, params: dict[str, Any]) ->
     faulty_idx = np.zeros((batch, 1), dtype=np.int64)
     # repro-lint: allow[DET002] -- fixed-seed probe generator local to the audit, which drives one adversary round outside the batch loop
     rng = CounterRNG(range(batch))
-    adversary_kernel.begin_round(0, states, correct_sorted, rng)
+    rounds = np.zeros(batch, dtype=np.int64)
+    adversary_kernel.begin_round(rounds, states, correct_sorted, rng)
     adversary_kernel.forge(
-        0,
+        rounds,
         faulty_idx[:, None, :],
         np.arange(n)[None, :, None],
         states,

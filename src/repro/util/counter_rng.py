@@ -1,12 +1,13 @@
 """Counter-based randomness for the batch engine.
 
 The batch engine runs many independent trials as one array program.  A
-stateful generator shared by a chunk of trials would make every value a
-trial draws depend on which other trials share its chunk, on the chunk size
-and on how many trials have already finished.  :class:`CounterRNG` has no
+stateful generator shared by the live trials would make every value a trial
+draws depend on which other trials share its arrays, on the batch size and
+on how many trials have already finished.  :class:`CounterRNG` has no
 stream state instead: every value is a pure function of its key
 
-    (trial seed, round, draw site, element index within the trial's slice)
+    (trial seed, trial's own round, draw site, element index within the
+    trial's slice)
 
 in the manner of the counter-based generators of Salmon et al., *Parallel
 random numbers: as easy as 1, 2, 3* (SC 2011).  The mixing function is the
@@ -14,16 +15,18 @@ splitmix64 finaliser in ``uint64`` NumPy arithmetic:
 
 * ``key(t) = mix(seed(t) + GAMMA)`` — the full 64-bit trial seed;
 * ``offset(r, s) = mix(((r << 16) + s) * GAMMA)`` for round ``r`` and site
-  ``s``;
+  ``s``, looked up in a per-(round, site) table rather than mixed per draw;
 * value ``i`` of site ``s`` in round ``r`` is
   ``mix(key(t) + offset(r, s) + i * GAMMA)`` (all modulo ``2**64``).
 
-A trial's trajectory is therefore the same alone, in a chunk of 256 or
-packed with other cells, and a stored randomised batch row can be replayed
-by re-running its one trial.
+Each trial carries its own round, so trials admitted mid-run into the rows
+of finished ones draw exactly as they would alone.  A trial's trajectory is
+therefore the same alone, among 256 live trials or packed with other cells,
+and a stored randomised batch row can be replayed by re-running its one
+trial.
 
 Draw sites are the named constants of :class:`DrawSite`, never a call
-counter: a site that draws only when some trial of the chunk needs it (the
+counter: a site that draws only when some live trial needs it (the
 adaptive-split fabrication) must not shift the draws of any other site.
 Every site draws at most once per round; a second draw would repeat the
 first one's values, so it raises instead.
@@ -73,13 +76,6 @@ class DrawSite(IntEnum):
     ADAPTIVE_FABRICATE = 10
 
 
-def _mix_int(z: int) -> int:
-    """The splitmix64 finaliser on one Python integer."""
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
-
-
 def _mix(z: np.ndarray) -> np.ndarray:
     """The splitmix64 finaliser, in place on a ``uint64`` array."""
     z ^= z >> _U30
@@ -90,26 +86,45 @@ def _mix(z: np.ndarray) -> np.ndarray:
     return z
 
 
+def _offset_table(rounds_needed: int) -> np.ndarray:
+    """``offset(r, s)`` for every site and every round below a power of two.
+
+    The table covers at least rounds ``[0, rounds_needed)``.
+    """
+    size = max(64, 1 << (rounds_needed - 1).bit_length())
+    rounds = np.arange(size, dtype=np.uint64)[:, None] << np.uint64(16)
+    sites = np.arange(max(DrawSite) + 1, dtype=np.uint64)[None, :]
+    return _mix((rounds + sites) * np.uint64(_GAMMA))
+
+
+def _trial_keys(seeds: Sequence[int]) -> np.ndarray:
+    """``key(t)`` for each seed, validated to lie in ``[0, 2**64)``."""
+    for seed in seeds:
+        if not 0 <= seed <= _MASK:
+            raise SimulationError(
+                f"trial seed {seed!r} is outside [0, 2**64); the batch "
+                "engine keys its randomness on the full 64-bit seed"
+            )
+    keys = np.array([(seed + _GAMMA) & _MASK for seed in seeds], dtype=np.uint64)
+    return _mix(keys)
+
+
 class CounterRNG:
-    """Stateless per-trial randomness for a chunk of batch trials.
+    """Stateless per-trial randomness for the live trials of a batch.
 
     ``seeds`` are the trials' 64-bit seeds, one per row of the batch axis.
-    The engine calls :meth:`start_round` before each round and
-    :meth:`compact` whenever finished trials leave the live arrays, so the
-    batch axis of every draw is always the live trials.  ``draws`` counts
-    the draws made so far (audits read it to tell whether a kernel drew).
+    The engine calls :meth:`start_round` before each step with every live
+    trial's own round, :meth:`admit` when queued trials take over the rows
+    of finished ones, and :meth:`compact` whenever finished trials leave the
+    live arrays, so the batch axis of every draw is always the live trials.
+    ``draws`` counts the draws made so far (audits read it to tell whether a
+    kernel drew).
     """
 
     def __init__(self, seeds: Sequence[int]) -> None:
-        for seed in seeds:
-            if not 0 <= seed <= _MASK:
-                raise SimulationError(
-                    f"trial seed {seed!r} is outside [0, 2**64); the batch "
-                    "engine keys its randomness on the full 64-bit seed"
-                )
-        keys = np.array([(seed + _GAMMA) & _MASK for seed in seeds], dtype=np.uint64)
-        self._keys = _mix(keys)
-        self._round = 0
+        self._keys = _trial_keys(seeds)
+        self._rounds = np.zeros((), dtype=np.intp)
+        self._offsets = np.empty((0, 0), dtype=np.uint64)
         self._drawn: set[int] = set()
         self._steps: dict[int, np.ndarray] = {}
         self.draws = 0
@@ -119,14 +134,30 @@ class CounterRNG:
         """Number of live trials (the batch axis every draw must have)."""
         return self._keys.shape[0]
 
-    def start_round(self, round_index: int) -> None:
-        """Key the following draws on ``round_index``."""
-        self._round = round_index
+    def start_round(self, rounds: int | np.ndarray) -> None:
+        """Key the following draws on each trial's round.
+
+        ``rounds`` is one round for every trial, or a vector holding each
+        live trial's own round.
+        """
+        rounds = np.asarray(rounds, dtype=np.intp)
+        if rounds.ndim and rounds.shape != (self.batch,):
+            raise SimulationError(
+                f"round vector of shape {rounds.shape} must have one entry per "
+                f"live trial ({self.batch})"
+            )
+        self._rounds = rounds
         self._drawn.clear()
 
     def compact(self, keep: np.ndarray) -> None:
         """Keep only the trials selected by ``keep`` (mask or indices)."""
         self._keys = self._keys[keep]
+        if self._rounds.ndim:
+            self._rounds = self._rounds[keep]
+
+    def admit(self, rows: np.ndarray, seeds: Sequence[int]) -> None:
+        """Key ``rows`` on the seeds of the trials that now occupy them."""
+        self._keys[rows] = _trial_keys(seeds)
 
     def _bits(self, site: DrawSite, shape: tuple[int, ...]) -> np.ndarray:
         """Uniform ``uint64`` values shaped ``shape`` (batch axis first)."""
@@ -135,9 +166,11 @@ class CounterRNG:
                 f"draw shape {shape} must lead with the {self.batch} live trials"
             )
         if site in self._drawn:
+            low, high = int(self._rounds.min()), int(self._rounds.max())
+            rounds = f"round {low}" if low == high else f"rounds {low}..{high}"
             raise SimulationError(
-                f"draw site {DrawSite(site).name} drew twice in round "
-                f"{self._round}; each site draws at most once per round"
+                f"draw site {DrawSite(site).name} drew twice in {rounds}; "
+                "each site draws at most once per round"
             )
         self._drawn.add(site)
         self.draws += 1
@@ -146,9 +179,13 @@ class CounterRNG:
         if steps is None:
             steps = np.arange(width, dtype=np.uint64) * np.uint64(_GAMMA)
             self._steps[width] = steps
-        offset = _mix_int((((self._round << 16) + site) * _GAMMA) & _MASK)
-        values = self._keys[:, None] + (steps + np.uint64(offset))
-        return _mix(values).reshape(shape)
+        try:
+            offsets = self._offsets[self._rounds, site]
+        except IndexError:
+            self._offsets = _offset_table(int(self._rounds.max()) + 1)
+            offsets = self._offsets[self._rounds, site]
+        keyed = self._keys + offsets
+        return _mix(keyed[:, None] + steps).reshape(shape)
 
     def integers(
         self, site: DrawSite, high: int | np.ndarray, shape: tuple[int, ...]

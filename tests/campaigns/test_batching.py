@@ -215,6 +215,17 @@ class TestAutoEngine:
         assert executor.stats.fallback == 0
         assert executor.stats.completed == len(runs)
 
+    @pytest.mark.parametrize("batch_size", [1, 2, 3])
+    def test_refilled_live_sets_match_the_serial_executor(self, batch_size):
+        # Seven trials per group through one to three live rows: most trials
+        # are admitted mid-group into a finished trial's row, so each must
+        # run on its own round (mimic rotates its victim by it).
+        runs = deterministic_campaign(runs=7).expand()
+        serial = SerialExecutor().run(runs)
+        executor = BatchExecutor(engine="auto", batch_size=batch_size)
+        assert as_dicts(executor.run(runs)) == as_dicts(serial)
+        assert executor.stats.batched == len(runs)
+
     def test_randomized_groups_fall_back_to_scalar(self):
         spec = CampaignSpec(
             name="randomized",

@@ -376,6 +376,28 @@ def test_batch_size_chunks_do_not_change_randomised_results(
     assert whole == chunked
 
 
+def test_refilled_rows_keep_loss_delay_traces_unchanged():
+    # One live row: every trial after the first takes over a row whose
+    # snapshot history belongs to the trials before it, so its stale links
+    # must clamp to its own age and its own initial state.
+    algorithm = _build("corollary1", {"f": 1, "c": 2})
+    kernel = build_batch_kernel(algorithm)
+    trials = [BatchTrial(sim_seed=seed, faulty=(seed % 4,)) for seed in range(6)]
+    kwargs = dict(
+        adversary_strategy="mimic",
+        max_rounds=40,
+        stop_after_agreement=4,
+        loss=0.3,
+        delay=2,
+    )
+    whole = run_batch_trials(
+        algorithm, kernel, trials, batch_size=len(trials), **kwargs
+    )
+    refilled = run_batch_trials(algorithm, kernel, trials, batch_size=1, **kwargs)
+    assert len({trace.num_rounds for trace in whole}) > 1
+    assert refilled == whole
+
+
 def test_seeds_differing_above_bit_32_draw_different_trajectories(monkeypatch):
     """The full 64-bit trial seed keys the batch draws.
 

@@ -50,6 +50,48 @@ def test_compaction_keeps_each_remaining_trials_values():
     assert np.array_equal(compacted[1], alone.random(SITE, (1, 6))[0])
 
 
+def test_a_mixed_round_vector_draws_each_trial_at_its_own_round():
+    seeds = [3, 1 << 40, 7, 99, 2**64 - 1]
+    rounds = np.array([0, 4, 4, 131, 1000])
+    rng = CounterRNG(seeds)
+    rng.start_round(rounds)
+    mixed = rng.integers(SITE, 1000, (5, 4, 3))
+    for position, (seed, round_index) in enumerate(zip(seeds, rounds)):
+        alone = draw([seed], round_index=int(round_index), shape=(4, 3))
+        assert np.array_equal(mixed[position], alone[0])
+
+
+def test_a_uniform_round_vector_reproduces_the_scalar_round():
+    seeds = [5, 6, 1 << 63]
+    for round_index in (0, 9, 700):
+        rng = CounterRNG(seeds)
+        rng.start_round(np.full(len(seeds), round_index))
+        vector = rng.integers(SITE, 1000, (3, 5, 3))
+        assert np.array_equal(vector, draw(seeds, round_index=round_index))
+
+
+def test_admitted_rows_draw_as_their_new_trials_alone():
+    rng = CounterRNG([1, 2, 3])
+    rng.admit(np.array([0, 2]), [10, 30])
+    rng.start_round(np.array([0, 5, 2]))
+    values = rng.random(SITE, (3, 4))
+    assert np.array_equal(values[0], draw_random([10], 0)[0])
+    assert np.array_equal(values[1], draw_random([2], 5)[0])
+    assert np.array_equal(values[2], draw_random([30], 2)[0])
+
+
+def test_round_vectors_must_cover_the_live_trials():
+    rng = CounterRNG([1, 2, 3])
+    with pytest.raises(SimulationError, match="one entry per live trial"):
+        rng.start_round(np.array([0, 1]))
+
+
+def draw_random(seeds, round_index):
+    rng = CounterRNG(seeds)
+    rng.start_round(round_index)
+    return rng.random(SITE, (len(seeds), 4))
+
+
 def test_seeds_differing_only_above_bit_32_draw_differently():
     low = 12345
     values = draw([low, low + (1 << 32), low + (1 << 63)])
