@@ -1385,7 +1385,10 @@ def _run_group(
             window_fired = streak >= window
 
         ages = ages + 1
-        finished = window_fired | (ages >= max_rounds)
+        finished = window_fired
+        if step >= max_rounds:
+            # No trial is older than the loop, so none hits the cap sooner.
+            finished = finished | (ages >= max_rounds)
         if not finished.any():
             continue
         rows = np.flatnonzero(finished)
@@ -1400,10 +1403,9 @@ def _run_group(
         if admitted:
             refill, rows = rows[:admitted], rows[admitted:]
             first = len(correct_lists)
-            if not states.flags.writeable:
-                states = states.copy()
             admit(refill)
-            rng.admit(refill, [trial.sim_seed for trial in trials[first : first + admitted]])
+            queued = trials[first : first + admitted]
+            rng.admit(refill, [trial.sim_seed for trial in queued])
             if faulty_lookup is not None:
                 faulty_lookup[refill] = ~sender_ok[refill]
             # ``recorded`` holds this step's ``active`` and ``agreed`` (which
