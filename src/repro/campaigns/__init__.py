@@ -24,8 +24,9 @@ subsystem:
   resume-by-skipping-completed-runs, and :func:`summarize_results`.
 * :mod:`repro.campaigns.runner` — :func:`run_campaign`, the orchestration
   loop: expand, skip completed, execute, persist as results stream in.
-* :mod:`repro.campaigns.cli` — the ``python -m repro campaign`` command with
-  ``define`` / ``run`` / ``resume`` / ``summarize`` subcommands.
+* :mod:`repro.campaigns.cli` — ``repro run`` and the ``repro campaign``
+  ``define`` / ``run`` / ``resume`` / ``summarize`` subcommands, with one
+  grid flag table and one flag-to-campaign compiler.
 
 Quick start::
 

@@ -29,6 +29,7 @@ from repro.analysis.metrics import (
     pull_statistics,
     trial_metrics_from_values,
 )
+from repro.core.errors import ParameterError
 from repro.network.stabilization import recovery_from_values
 from repro.network.trace import ExecutionTrace
 
@@ -44,6 +45,7 @@ __all__ = [
     "reduce_trace",
     "reduced_facts",
     "summarize_results",
+    "group_by_fields",
 ]
 
 
@@ -482,6 +484,25 @@ class CampaignStore:
         return sum(1 for _ in self)
 
 
+def group_by_fields(columns: str | Sequence[str]) -> tuple[str, ...]:
+    """The :class:`RunResult` fields a summary groups by, checked by name.
+
+    Takes a comma-separated string (the ``--group-by`` flag) or a sequence
+    of names, and raises :class:`~repro.core.errors.ParameterError` naming
+    the valid fields when one of them is not a :class:`RunResult` field.
+    """
+    if isinstance(columns, str):
+        columns = columns.split(",")
+    names = tuple(column.strip() for column in columns if column.strip())
+    unknown = [name for name in names if name not in _FIELD_NAMES]
+    if unknown:
+        raise ParameterError(
+            f"unknown group-by field(s) {', '.join(unknown)}; "
+            f"valid fields: {', '.join(sorted(_FIELD_NAMES))}"
+        )
+    return names
+
+
 def summarize_results(
     results: Iterable[RunResult],
     group_by: Sequence[str] = ("algorithm", "adversary"),
@@ -491,13 +512,15 @@ def summarize_results(
 
     Groups by the given :class:`RunResult` attributes (default: algorithm and
     adversary) and reports, per group, how many runs stabilised and the
-    distribution of stabilisation rounds.
+    distribution of stabilisation rounds.  An unknown field raises
+    :class:`~repro.core.errors.ParameterError` (see :func:`group_by_fields`).
     """
     # Imported lazily: experiments.common itself builds on the campaign
     # engine, so a module-level import would be circular.
     from repro.analysis.stats import summarize
     from repro.experiments.common import ExperimentResult
 
+    group_by = group_by_fields(group_by)
     groups: dict[tuple, list[RunResult]] = {}
     for result in results:
         key = tuple(getattr(result, attribute) for attribute in group_by)

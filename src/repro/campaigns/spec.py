@@ -318,6 +318,13 @@ class CampaignSpec:
             )
         if self.max_rounds < 1:
             raise ParameterError(f"max_rounds must be positive, got {self.max_rounds}")
+        if self.stop_after_agreement is not None and self.stop_after_agreement < 1:
+            raise ParameterError(
+                "stop_after_agreement must be positive (or None to disable "
+                f"early stopping), got {self.stop_after_agreement}"
+            )
+        if self.min_tail < 1:
+            raise ParameterError(f"min_tail must be positive, got {self.min_tail}")
         if self.fault_pattern not in FAULT_PATTERNS:
             raise ParameterError(
                 f"unknown fault pattern {self.fault_pattern!r}; "

@@ -5,8 +5,7 @@ repro``.  Subcommands:
 
 ========== ==================================================================
 ``run``        run one scenario (algorithms x adversaries x faults grid)
-               through the :class:`~repro.scenarios.scenario.Scenario`
-               facade and print a stabilisation summary
+               and print a stabilisation summary
 ``campaign``   ``define`` / ``run`` / ``resume`` / ``summarize`` — the
                campaign engine commands
 ``experiment`` regenerate a paper artefact: ``table1``, ``table2``,
@@ -16,14 +15,15 @@ repro``.  Subcommands:
                experiments with one-line descriptions (the component
                catalogue of :mod:`repro.semantics`)
 ``verify``     exhaustively model-check a catalogue algorithm
-               (Section 2 definition of a synchronous counter), then run
-               the static-analysis pass over the installed tree
+               (Section 2 definition of a synchronous counter)
 ``lint``       determinism-aware static analysis (:mod:`repro.lint`):
                prove the invariants the parity harness only samples
 ========== ==================================================================
 
-All help and description strings are explicit literals, so the CLI works
-under ``python -OO`` (docstrings stripped).
+``run`` and ``campaign define`` share one flag table and one compiler
+(:mod:`repro.campaigns.cli`), so the same grid flags describe the same
+campaign on both.  All help and description strings are explicit
+literals, so the CLI works under ``python -OO`` (docstrings stripped).
 """
 
 from __future__ import annotations
@@ -36,17 +36,13 @@ from repro._version import __version__
 from repro.campaigns.cli import (
     dispatch,
     parse_algorithm,
-    parse_fault_schedule,
-    parse_num_faults,
     register_commands,
+    register_run_command,
 )
-from repro.campaigns.results import CampaignStore, RunResult, summarize_results
-from repro.campaigns.spec import ENGINES, FAULT_PATTERNS
 from repro.core.errors import ParameterError
 from repro.experiments.catalog import experiment_catalog
 from repro.lint.cli import register_lint_command
 from repro.obs.cli import add_observability_arguments, observation_from_args
-from repro.scenarios import Scenario
 
 __all__ = ["main", "build_parser"]
 
@@ -54,70 +50,6 @@ __all__ = ["main", "build_parser"]
 # ---------------------------------------------------------------------- #
 # Command handlers
 # ---------------------------------------------------------------------- #
-
-
-def _command_run(args: argparse.Namespace) -> int:
-    """Compile the flags into a Scenario, execute it, print a summary."""
-    scenario = Scenario()
-    for spec in args.algorithm:
-        scenario = scenario.counter(spec.name, **dict(spec.params))
-    if args.adversary:
-        scenario = scenario.adversary(*args.adversary)
-    if args.faults:
-        scenario = scenario.faults(*args.faults)
-    scenario = (
-        scenario.runs(args.runs)
-        .seed(args.seed)
-        .max_rounds(args.max_rounds)
-        .stop_after_agreement(args.stop_after_agreement)
-        .min_tail(args.min_tail)
-        .fault_pattern(args.fault_pattern)
-        .engine(args.engine)
-    )
-    if args.loss:
-        scenario = scenario.loss(args.loss)
-    if args.delay:
-        scenario = scenario.delay(args.delay)
-    if args.fault_schedule:
-        schedule_name, schedule_params = args.fault_schedule
-        scenario = scenario.fault_schedule(schedule_name, **dict(schedule_params))
-    if args.name:
-        scenario = scenario.named(args.name)
-
-    store = CampaignStore(args.store) if args.store else None
-
-    def progress(done: int, total: int, result: RunResult) -> None:
-        status = "FAIL" if result.error else (
-            f"stab@{result.stabilization_round}" if result.stabilized else "no-stab"
-        )
-        print(f"[{done}/{total}] {result.run_id}: {status}", flush=True)
-
-    with observation_from_args(args) as observer:
-        report = scenario.execute(
-            jobs=args.jobs,
-            store=store,
-            progress=None if args.quiet else progress,
-            observer=observer,
-        )
-    name = scenario.to_campaign_spec().name
-    suffix = f" -> {store.path}" if store is not None else ""
-    print(
-        f"scenario '{name}': {report.total} runs "
-        f"({report.executed} executed, {report.skipped} resumed, "
-        f"{report.failed} failed) in {report.elapsed:.2f}s{suffix}"
-    )
-    if report.fallback_reasons and not args.quiet:
-        print("scalar fallbacks (see `repro list adversaries` for coverage):")
-        for reason in report.fallback_reasons:
-            print(f"  - {reason}")
-    group_by = tuple(
-        column.strip() for column in args.group_by.split(",") if column.strip()
-    )
-    table = summarize_results(
-        report.results, group_by=group_by, name=f"Scenario summary — {name}"
-    )
-    print(table.to_markdown() if args.markdown else table.format_table())
-    return 1 if report.failed else 0
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
@@ -292,28 +224,9 @@ def _command_verify(args: argparse.Namespace) -> int:
             f"VERIFIED: synchronous {report.c}-counter, exact worst-case "
             f"stabilisation time {report.stabilization_time} rounds"
         )
-        return _verify_lint_step(args)
-    print(f"NOT VERIFIED: {len(report.failing_patterns())} fault pattern(s) fail")
-    _verify_lint_step(args)
-    return 1
-
-
-def _verify_lint_step(args: argparse.Namespace) -> int:
-    """The static half of ``repro verify``: lint the installed tree.
-
-    The model checker proves the *dynamic* counter contract for one small
-    instance; the lint pass proves the *static* determinism invariants for
-    every line, so the one-shot health check covers both.
-    """
-    if getattr(args, "skip_lint", False):
         return 0
-    from repro.lint import run_lint
-
-    lint_report = run_lint()
-    for finding in lint_report.unwaived():
-        print(finding.format())
-    print(lint_report.summary())
-    return lint_report.exit_code()
+    print(f"NOT VERIFIED: {len(report.failing_patterns())} fault pattern(s) fail")
+    return 1
 
 
 # ---------------------------------------------------------------------- #
@@ -334,109 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    run = subparsers.add_parser(
-        "run",
-        help="run one scenario (algorithms x adversaries x faults) and summarize it",
-        description=(
-            "Run one scenario through the repro.scenarios facade: the grid "
-            "algorithms x adversaries x fault counts x runs, executed "
-            "serially or over worker processes with bit-identical results."
-        ),
-    )
-    run.set_defaults(handler=_command_run)
-    run.add_argument(
-        "algorithm",
-        nargs="+",
-        type=parse_algorithm,
-        metavar="NAME[:k=v,...]",
-        help="catalogue algorithm(s) with parameters, e.g. 'figure2:levels=1,c=2'",
-    )
-    run.add_argument(
-        "--adversary",
-        action="append",
-        metavar="STRATEGY",
-        help="adversary strategy (repeatable; default: random-state)",
-    )
-    run.add_argument(
-        "--faults",
-        action="append",
-        type=parse_num_faults,
-        metavar="N|auto",
-        help="faults per run (repeatable; default: auto = the algorithm's f)",
-    )
-    run.add_argument("--runs", type=int, default=10, help="runs per grid setting")
-    run.add_argument("--seed", type=int, default=0, help="master seed")
-    run.add_argument("--max-rounds", type=int, default=1000, help="per-run round cap")
-    run.add_argument(
-        "--stop-after-agreement",
-        type=int,
-        default=20,
-        help="early-stop window; 0 disables early stopping",
-    )
-    run.add_argument("--min-tail", type=int, default=2)
-    run.add_argument("--fault-pattern", choices=FAULT_PATTERNS, default="random")
-    run.add_argument(
-        "--fault-schedule",
-        type=parse_fault_schedule,
-        metavar="NAME[:k=v,...]",
-        help=(
-            "named fault schedule with parameters, e.g. "
-            "'churn:start=5,down=6' (see `repro list fault-schedules`); "
-            "the schedule owns the faulty set, so the scenario runs "
-            "fault-free baselines and measures re-stabilisation"
-        ),
-    )
-    run.add_argument(
-        "--loss",
-        type=float,
-        default=0.0,
-        help=(
-            "per-link message loss probability in [0, 1) — a lost link "
-            "re-delivers the sender's previous broadcast (broadcast model only)"
-        ),
-    )
-    run.add_argument(
-        "--delay",
-        type=int,
-        default=0,
-        help=(
-            "maximum per-link message delay in rounds; each link delivers a "
-            "uniformly random 0..DELAY-old broadcast (broadcast model only)"
-        ),
-    )
-    run.add_argument(
-        "--engine",
-        choices=list(ENGINES),
-        default="auto",
-        help=(
-            "execution engine: 'auto' vectorises bit-identical run groups "
-            "through the NumPy batch engine, 'batch' forces it for every "
-            "kernel-covered group, 'scalar' runs one simulation at a time"
-        ),
-    )
-    run.add_argument("--name", help="scenario name (default: the algorithm names)")
-    run.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes (>1 enables the multiprocessing executor)",
-    )
-    run.add_argument(
-        "--store",
-        help="JSONL result store for persistence and resume (optional)",
-    )
-    run.add_argument(
-        "--group-by",
-        default="algorithm,adversary",
-        help="comma-separated RunResult fields for the summary table",
-    )
-    run.add_argument(
-        "--markdown", action="store_true", help="emit the summary as Markdown"
-    )
-    run.add_argument(
-        "--quiet", action="store_true", help="suppress per-run progress lines"
-    )
-    add_observability_arguments(run)
+    register_run_command(subparsers)
 
     campaign = subparsers.add_parser(
         "campaign",
@@ -531,11 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=200_000,
         help="safety cap on the configuration-space size per fault pattern",
-    )
-    verify.add_argument(
-        "--skip-lint",
-        action="store_true",
-        help="skip the static-analysis pass that follows the model check",
     )
 
     register_lint_command(subparsers)

@@ -179,15 +179,9 @@ class CallGraph:
         for qname in sorted(self.functions):
             yield self.functions[qname]
 
-    def class_info(self, module: str, name: str) -> ClassInfo | None:
-        return self.classes.get((module, name))
-
     def class_by_qname(self, qname: str) -> ClassInfo | None:
         module, _, name = qname.rpartition(".")
         return self.classes.get((module, name))
-
-    def unit_class(self, unit: ModuleUnit, name: str) -> ClassInfo | None:
-        return self.classes.get((_module_key(unit), name))
 
     def mro(self, info: ClassInfo) -> Iterator[ClassInfo]:
         """The scanned part of a class's MRO (own class first, depth-first)."""

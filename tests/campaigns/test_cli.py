@@ -52,6 +52,47 @@ class TestDefine:
         assert data["algorithms"][0]["params"]["n"] == 6
         assert "4 runs" in capsys.readouterr().out
 
+    def test_name_defaults_to_the_algorithm_names(self, tmp_path, capsys):
+        spec_path = tmp_path / "unnamed.json"
+        code = main(
+            [
+                "define",
+                "--algorithm",
+                "trivial:c=3",
+                "--algorithm",
+                "naive-majority:n=6,c=3,claimed_resilience=1",
+                "--num-faults",
+                "0",
+                "--adversary",
+                "none",
+                "--out",
+                str(spec_path),
+            ]
+        )
+        assert code == 0
+        data = json.loads(spec_path.read_text(encoding="utf-8"))
+        assert data["name"] == "trivial+naive-majority"
+        assert data["num_faults"] == [0]
+
+    def test_stop_after_agreement_zero_disables_early_stopping(self, tmp_path):
+        spec_path = tmp_path / "full.json"
+        code = main(
+            [
+                "define",
+                "--algorithm",
+                "trivial:c=3",
+                "--adversary",
+                "none",
+                "--stop-after-agreement",
+                "0",
+                "--out",
+                str(spec_path),
+            ]
+        )
+        assert code == 0
+        data = json.loads(spec_path.read_text(encoding="utf-8"))
+        assert data["stop_after_agreement"] is None
+
     def test_rejects_malformed_algorithm(self, tmp_path):
         with pytest.raises(SystemExit):
             main(
@@ -250,6 +291,51 @@ class TestErrorPaths:
         assert err.startswith("error:")
         assert "does-not-exist" in err
 
+    def test_unknown_adversary_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main(
+            [
+                "define",
+                "--algorithm",
+                "trivial",
+                "--adversary",
+                "bogus",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert "unknown adversary 'bogus'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--stop-after-agreement", "-3"), ("--min-tail", "-5"), ("--min-tail", "0")],
+    )
+    def test_empty_agreement_window_writes_no_spec(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x.json"
+        code = main(
+            [
+                "define",
+                "--algorithm",
+                "trivial",
+                "--adversary",
+                "none",
+                flag,
+                value,
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:")
+        assert f"{flag[2:].replace('-', '_')} must be positive" in err
+        assert not out.exists()
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code = main(
             ["run", str(tmp_path / "missing.json"), "--store", str(tmp_path / "s.jsonl")]
@@ -285,8 +371,6 @@ class TestPullingModelRoundTrip:
                 "define",
                 "--name",
                 "pull-demo",
-                "--model",
-                "pulling",
                 "--algorithm",
                 "sampled-boosted:sample_size=2",
                 "--adversary",
@@ -347,22 +431,26 @@ class TestPullingModelRoundTrip:
         assert "max_bits" in out
 
     def test_broadcast_algorithm_in_pulling_grid_is_rejected(self, tmp_path, capsys):
+        # The model is read from the catalogue, so a grid that mixes a
+        # pulling-model and a broadcast-model algorithm is rejected.
+        out = tmp_path / "x.json"
         code = main(
             [
                 "define",
                 "--name",
                 "mismatch",
-                "--model",
-                "pulling",
+                "--algorithm",
+                "sampled-boosted:sample_size=2",
                 "--algorithm",
                 "naive-majority:n=6,c=3,claimed_resilience=1",
                 "--out",
-                str(tmp_path / "x.json"),
+                str(out),
             ]
         )
         assert code == 2
         err = capsys.readouterr().err
         assert "broadcast-model algorithm" in err
+        assert not out.exists()
 
     def test_parallel_pulling_run_matches_serial(self, tmp_path):
         spec_path = self.define_pulling_campaign(tmp_path)

@@ -162,6 +162,10 @@ class TestCampaignSpec:
             {"fault_schedule": "no-such-schedule", "adversaries": ("none",)},
             {"fault_schedule": "churn", "fault_schedule_params": (("onset", 5),),
              "adversaries": ("none",)},
+            {"stop_after_agreement": 0},
+            {"stop_after_agreement": -3},
+            {"min_tail": 0},
+            {"min_tail": -5},
         ],
     )
     def test_validation(self, overrides):

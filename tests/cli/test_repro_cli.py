@@ -168,6 +168,33 @@ class TestRun:
         assert code == 0
         assert "2 runs (2 executed" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--min-tail", "-5"), ("--stop-after-agreement", "-3")],
+    )
+    def test_empty_agreement_window_writes_no_store(self, tmp_path, capsys, flag, value):
+        store = tmp_path / "runs.jsonl"
+        code = main(
+            ["run", "trivial", "--adversary", "none", flag, value, "--store", str(store)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error:")
+        assert f"{flag[2:].replace('-', '_')} must be positive" in captured.err
+        assert captured.out == ""
+        assert not store.exists()
+
+    def test_unknown_group_by_field_runs_nothing(self, tmp_path, capsys):
+        store = tmp_path / "runs.jsonl"
+        code = main([*self.ARGS[:-1], "--group-by", "bogus", "--store", str(store)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert "bogus" in captured.err and "valid fields" in captured.err
+        assert captured.out == ""
+        assert not store.exists()
+
     def test_fault_schedule_rejected_for_pulling_algorithms(self, capsys):
         code = main(
             [
@@ -219,12 +246,84 @@ class TestCampaignMount:
         assert "Campaign summary" in capsys.readouterr().out
 
 
+class TestOneCompiler:
+    """``repro run`` and ``campaign define`` + ``campaign run`` share one
+    flag table and one compiler, so the same grid flags write the same
+    store, byte for byte."""
+
+    GRIDS = {
+        "fault-schedule": (
+            "naive-majority:n=6,c=3,claimed_resilience=1",
+            [
+                "--fault-schedule",
+                "churn:start=3,down=2,adversarial=2",
+                "--runs",
+                "2",
+                "--max-rounds",
+                "40",
+                "--stop-after-agreement",
+                "4",
+            ],
+        ),
+        "loss-delay-no-early-stop": (
+            "corollary1:f=1,c=2",
+            [
+                "--adversary",
+                "crash",
+                "--loss",
+                "0.1",
+                "--delay",
+                "1",
+                "--runs",
+                "3",
+                "--max-rounds",
+                "60",
+                "--stop-after-agreement",
+                "0",
+                "--seed",
+                "5",
+            ],
+        ),
+    }
+
+    @pytest.mark.parametrize("grid", sorted(GRIDS))
+    def test_run_and_define_then_run_write_identical_stores(self, grid, tmp_path):
+        algorithm, flags = self.GRIDS[grid]
+        store_a = tmp_path / "a.jsonl"
+        store_b = tmp_path / "b.jsonl"
+        spec_path = tmp_path / "grid.campaign.json"
+        assert main(["run", algorithm, *flags, "--quiet", "--store", str(store_a)]) == 0
+        assert (
+            main(
+                [
+                    "campaign",
+                    "define",
+                    "--algorithm",
+                    algorithm,
+                    *flags,
+                    "--out",
+                    str(spec_path),
+                ]
+            )
+            == 0
+        )
+        assert (
+            main(["campaign", "run", str(spec_path), "--quiet", "--store", str(store_b)])
+            == 0
+        )
+        lines_a = sorted(store_a.read_text(encoding="utf-8").splitlines())
+        lines_b = sorted(store_b.read_text(encoding="utf-8").splitlines())
+        assert lines_a and lines_a == lines_b
+
+
 class TestVerify:
     def test_verify_trivial_counter(self, capsys):
         assert main(["verify", "trivial:c=3"]) == 0
         out = capsys.readouterr().out
         assert "VERIFIED" in out
         assert "3-counter" in out
+        # Static analysis is `repro lint`'s job, not verify's.
+        assert "lint:" not in out
 
     def test_verify_rejects_pulling_algorithms(self, capsys):
         assert main(["verify", "sampled-boosted"]) == 2

@@ -168,14 +168,6 @@ class TestUnifiedCli:
         assert args.strict
         assert args.handler is command_lint
 
-    def test_verify_grows_a_skip_lint_flag(self):
-        from repro.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["verify", "--skip-lint", "trivial:n=4,c=2"]
-        )
-        assert args.skip_lint
-
 
 @pytest.mark.skipif(find_spec("mypy") is None, reason="mypy not installed")
 def test_mypy_strict_packages_pass():
